@@ -274,9 +274,13 @@ def run_evolve(args) -> int:
         t=float(icfg.get("t", 0.0)),
     )
     dt = float(_require(_pick(args.dt, cfg, "dt"), "dt"))
-    steps = int(_require(_pick(args.steps, cfg, "steps"), "steps"))
+    steps = _require(_pick(args.steps, cfg, "steps"), "steps")
+    if isinstance(steps, bool) or not isinstance(steps, int):
+        raise ConfigError(f"config \"steps\" must be an integer, got {steps!r}")
 
     canonical = args.canonical if args.canonical is not None else cfg.get("canonical")
+    if canonical is not None and not isinstance(canonical, bool):
+        raise ConfigError(f"config \"canonical\" must be true or false, got {canonical!r}")
     if canonical and params.R == 0:
         raise ConfigError("canonical coordinates require R > 0, but the run has R = 0")
     want_canonical = (params.R > 0) if canonical is None else bool(canonical)

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .operator_core import CommutatorReport, build_ladder, commutator_table, require_dim
+from .operator_core import CommutatorReport, build_ladder, factored_commutator_table, require_dim
 
 __all__ = [
     "Potential",
@@ -328,7 +328,8 @@ def hyperbolic_evolve(xi, gamma, t):
     eps * exp(2 G t) while this one stays at a few ulps.
 
     Accepts a single pair or an (..., 2) array; gamma and t broadcast
-    against the leading axes.
+    against the leading axes.  Raises ValueError naming gamma*t when the
+    result is not finite; exp(|gamma*t|) alone overflows past ~709.
     """
     arr = np.asarray(xi, dtype=float)
     if arr.shape[-1] != 2:
@@ -342,6 +343,11 @@ def hyperbolic_evolve(xi, gamma, t):
     out = np.empty(np.broadcast(u_t, w_t).shape + (2,), dtype=float)
     out[..., 0] = 0.5 * (u_t - w_t)
     out[..., 1] = 0.5 * (u_t + w_t)
+    if not np.isfinite(out).all():
+        if not np.isfinite(arr).all():
+            raise ValueError("xi contains non-finite entries")
+        bad = np.broadcast_to(gt, out.shape[:-1])[~np.isfinite(out).all(axis=-1)]
+        raise ValueError(f"hyperbolic flow overflows float64 at gamma*t = {bad.flat[0]:g}")
     return out
 
 
@@ -378,6 +384,22 @@ def transmission_coefficient(omega, gamma: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _doubled_factors(params: DissipativeParams, dim: int) -> list[list[tuple[str, np.ndarray]]]:
+    """K_pm and xi_pm on the first ladder factor, X_pm on the second."""
+    l2 = params.L2
+    ell = math.sqrt(l2)
+    z, zdag = build_ladder(dim)
+    plus_f = (z + zdag) / math.sqrt(2.0)
+    minus_f = -1j * (z - zdag) / math.sqrt(2.0)
+    k_plus = plus_f / ell
+    k_minus = minus_f / ell
+    return [
+        [("K_plus", k_plus), ("K_minus", k_minus),
+         ("xi_plus", -l2 * k_minus), ("xi_minus", l2 * k_plus)],
+        [("X_plus", ell * plus_f), ("X_minus", -ell * minus_f)],
+    ]
+
+
 def doubled_operators(params: DissipativeParams, dim: int) -> dict[str, np.ndarray]:
     """Finite representations of K_pm, xi_pm, X_pm on a dim x dim tensor space.
 
@@ -387,24 +409,11 @@ def doubled_operators(params: DissipativeParams, dim: int) -> dict[str, np.ndarr
     [K+, K-] = i / L^2, [xi+, xi-] = i L^2, [X+, X-] = -i L^2.
     """
     dim = require_dim(dim)
-    l2 = params.L2
-    ell = math.sqrt(l2)
-    z, zdag = build_ladder(dim)
+    velocity, center = _doubled_factors(params, dim)
     eye = np.eye(dim)
-    plus_f = (z + zdag) / math.sqrt(2.0)
-    minus_f = -1j * (z - zdag) / math.sqrt(2.0)
-    k_plus = plus_f / ell
-    k_minus = minus_f / ell
-    xi_plus = -l2 * k_minus
-    xi_minus = l2 * k_plus
-    return {
-        "K_plus": np.kron(k_plus, eye),
-        "K_minus": np.kron(k_minus, eye),
-        "xi_plus": np.kron(xi_plus, eye),
-        "xi_minus": np.kron(xi_minus, eye),
-        "X_plus": np.kron(eye, ell * plus_f),
-        "X_minus": np.kron(eye, -ell * minus_f),
-    }
+    ops = {label: np.kron(m, eye) for label, m in velocity}
+    ops.update({label: np.kron(eye, m) for label, m in center})
+    return ops
 
 
 def kappa_commutator_check(params: DissipativeParams, dim: int) -> CommutatorReport:
@@ -412,23 +421,11 @@ def kappa_commutator_check(params: DissipativeParams, dim: int) -> CommutatorRep
 
     Certifies [K+, K-] = i / L^2, [xi+, xi-] = i L^2, [X+, X-] = -i L^2,
     and that every mixed xi/X bracket vanishes, with the truncation
-    artifact isolated on the last level.
+    artifact isolated on the last level.  Computed on the dim x dim ladder
+    factors; the mixed-factor entries are exact zeros.
     """
     dim = require_dim(dim, minimum=3)
-    ops = doubled_operators(params, dim)
-    level_a = np.arange(dim * dim) // dim
-    level_b = np.arange(dim * dim) % dim
-    mask_a = level_a < dim - 1
-    mask_b = level_b < dim - 1
-    entries = [
-        ("K_plus", ops["K_plus"], mask_a),
-        ("K_minus", ops["K_minus"], mask_a),
-        ("xi_plus", ops["xi_plus"], mask_a),
-        ("xi_minus", ops["xi_minus"], mask_a),
-        ("X_plus", ops["X_plus"], mask_b),
-        ("X_minus", ops["X_minus"], mask_b),
-    ]
-    return commutator_table(entries, dim)
+    return factored_commutator_table(_doubled_factors(params, dim), dim)
 
 
 def validate_density_matrix(rho, tol: float = 1e-12) -> np.ndarray:

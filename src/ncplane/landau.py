@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator_core import CommutatorReport, build_ladder, commutator_table, require_dim
+from .operator_core import (
+    CommutatorReport,
+    NcParams,
+    build_xy,
+    factored_commutator_table,
+    require_dim,
+)
 from .phase_geometry import signed_area
 
 __all__ = [
@@ -83,13 +89,18 @@ def landau_hamiltonian(params: MagneticParams, dim: int) -> np.ndarray:
     dim-1 eigenvalues reproduce landau_spectrum; the top level is polluted
     by the truncation and should be discarded.
     """
-    dim = require_dim(dim)
-    z, zdag = build_ladder(dim)
-    ell = magnetic_length(params)
-    rho_x = ell / math.sqrt(2.0) * (z + zdag)
-    rho_y = -1j * ell / math.sqrt(2.0) * (z - zdag)
+    rho_x, rho_y = build_xy(NcParams(L=magnetic_length(params), hbar=params.hbar), dim)
     pref = 0.5 * params.M * params.omega_c ** 2
     return pref * (rho_x @ rho_x + rho_y @ rho_y)
+
+
+def _cyclotron_factors(params: MagneticParams, dim: int) -> list[list[tuple[str, np.ndarray]]]:
+    """Kinematic pair on the first ladder factor, center pair on the second."""
+    plus, minus = build_xy(NcParams(L=magnetic_length(params), hbar=params.hbar), dim)
+    return [
+        [("rho_x", plus), ("rho_y", minus)],
+        [("center_x", plus), ("center_y", -minus)],
+    ]
 
 
 def cyclotron_operators(params: MagneticParams, dim: int) -> dict[str, np.ndarray]:
@@ -101,17 +112,11 @@ def cyclotron_operators(params: MagneticParams, dim: int) -> dict[str, np.ndarra
     different factors commute exactly, no truncation caveat.
     """
     dim = require_dim(dim)
-    z, zdag = build_ladder(dim)
+    kinematic, center = _cyclotron_factors(params, dim)
     eye = np.eye(dim)
-    ell = magnetic_length(params)
-    plus = ell / math.sqrt(2.0) * (z + zdag)
-    minus = -1j * ell / math.sqrt(2.0) * (z - zdag)
-    return {
-        "rho_x": np.kron(plus, eye),
-        "rho_y": np.kron(minus, eye),
-        "center_x": np.kron(eye, plus),
-        "center_y": np.kron(eye, -minus),
-    }
+    ops = {label: np.kron(m, eye) for label, m in kinematic}
+    ops.update({label: np.kron(eye, m) for label, m in center})
+    return ops
 
 
 def cyclotron_algebra(params: MagneticParams, dim: int) -> CommutatorReport:
@@ -119,22 +124,12 @@ def cyclotron_algebra(params: MagneticParams, dim: int) -> CommutatorReport:
 
     Expected clean-block values: [rho_x, rho_y] = i L^2,
     [center_x, center_y] = -i L^2, all cross-factor brackets zero.
-    Requires dim >= 3 so the clean block is big enough to certify
-    constancy.
+    Computed on the dim x dim ladder factors; the cross-factor entries are
+    exact zeros.  Requires dim >= 3 so the clean block is big enough to
+    certify constancy.
     """
     dim = require_dim(dim, minimum=3)
-    ops = cyclotron_operators(params, dim)
-    level_a = np.arange(dim * dim) // dim
-    level_b = np.arange(dim * dim) % dim
-    mask_a = level_a < dim - 1
-    mask_b = level_b < dim - 1
-    entries = [
-        ("rho_x", ops["rho_x"], mask_a),
-        ("rho_y", ops["rho_y"], mask_a),
-        ("center_x", ops["center_x"], mask_b),
-        ("center_y", ops["center_y"], mask_b),
-    ]
-    return commutator_table(entries, dim)
+    return factored_commutator_table(_cyclotron_factors(params, dim), dim)
 
 
 def flux_quantization(params: MagneticParams, n_max: int) -> list[tuple[float, float]]:

@@ -7,6 +7,12 @@ diagonal entry of [Z, Zdag] carries -(dim-1) instead of +1.  That artifact
 is unavoidable in any finite representation (the trace of a commutator
 vanishes), so algebra checks in this package always report the clean block
 and the artifact separately instead of pretending the truncation away.
+
+Operators on a tensor product of ladders all have the form A (x) I or
+I (x) B.  Brackets of two operators on the same factor equal [A, B] (x) I,
+and brackets across factors vanish exactly, so bracket tables are computed
+per factor on dim x dim matrices (factored_commutator_table), never on the
+dim^2 x dim^2 tensor-space matrices.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ __all__ = [
     "commutator",
     "commutator_table",
     "distance_spectrum",
+    "factored_commutator_table",
     "hermiticity_defect",
     "require_dim",
 ]
@@ -105,12 +112,12 @@ def distance_spectrum(params: NcParams, dim: int) -> np.ndarray:
 
     S^2 = L^2 (2 Zdag Z + 1) has exact eigenvalues L^2 (2n + 1),
     n = 0 .. dim-1: the plane supports only quantized distances from the
-    origin.  Diagonalization is numerical on purpose so the routine keeps
-    working for perturbed operators.
+    origin.  S^2 is diagonal in the ladder basis, with Zdag Z carrying
+    r_n * r_n for the ladder element r_n = sqrt(n), so its eigenvalues are
+    those diagonal entries, sorted; no eigensolver is needed.
     """
-    z, zdag = build_ladder(dim)
-    s2 = params.L2 * (2.0 * (zdag @ z) + np.eye(dim))
-    return np.linalg.eigvalsh(s2)
+    r = np.sqrt(np.arange(require_dim(dim), dtype=float))
+    return np.sort(params.L2 * (2.0 * (r * r) + 1.0))
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -148,6 +155,11 @@ def commutator_table(
 ) -> CommutatorReport:
     """Evaluate all pairwise commutators of labelled operators.
 
+    Costs one dense commutator per ordered pair, O(n^3) in the matrix size
+    n.  For operators on a tensor product of ladders use
+    factored_commutator_table, which calls this once per factor on the
+    dim x dim factor matrices.
+
     entries: (label, matrix, clean_mask) triples.  clean_mask is a boolean
     vector over the representation space marking basis states unaffected by
     that operator's truncation level; a pair's clean block is the AND of
@@ -179,4 +191,42 @@ def commutator_table(
         artifact=artifact,
         clean_deviation=deviation,
         dim=require_dim(dim),
+    )
+
+
+def factored_commutator_table(
+    groups: list[list[tuple[str, np.ndarray]]],
+    dim: int,
+) -> CommutatorReport:
+    """Bracket table for operators living on separate tensor factors.
+
+    groups holds one list of (label, factor_matrix) per ladder factor; each
+    matrix is dim x dim and stands for itself tensored with the identity on
+    every other factor.  Brackets within a group equal the factor bracket
+    tensored with the identity, so commutator_table runs once per group with
+    the factor's clean mask (levels below dim - 1) and its report becomes a
+    diagonal block of the result.  Brackets across groups are exact zeros.
+    """
+    dim = require_dim(dim)
+    clean = np.arange(dim) < dim - 1
+    blocks = [
+        commutator_table([(label, m, clean) for label, m in group], dim) for group in groups
+    ]
+    n = sum(len(b.labels) for b in blocks)
+    leading = np.zeros((n, n), dtype=complex)
+    artifact = np.zeros((n, n), dtype=complex)
+    deviation = np.zeros((n, n), dtype=float)
+    start = 0
+    for b in blocks:
+        s = slice(start, start + len(b.labels))
+        leading[s, s] = b.leading
+        artifact[s, s] = b.artifact
+        deviation[s, s] = b.clean_deviation
+        start = s.stop
+    return CommutatorReport(
+        labels=tuple(label for b in blocks for label in b.labels),
+        leading=leading,
+        artifact=artifact,
+        clean_deviation=deviation,
+        dim=dim,
     )

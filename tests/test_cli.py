@@ -142,6 +142,40 @@ def test_evolve_divergence_exit_code(tmp_path, capsys):
     assert "diverged" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("canonical", "false"), ("canonical", 1), ("steps", 3.9), ("steps", 3.0),
+     ("steps", "10"), ("steps", True)],
+)
+def test_evolve_config_types_are_strict(tmp_path, capsys, key, value):
+    cfg = {
+        "schema_version": 1,
+        "params": {"M": 1.0, "R": 0.4},
+        "dt": 0.01,
+        "steps": 5,
+        key: value,
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["evolve", "--config", str(path), "--out", str(tmp_path / "t.csv")],
+                             capsys)
+    assert code == 2
+    assert f'"{key}"' in err
+    assert out == ""
+
+
+def test_evolve_config_canonical_false_drops_columns(tmp_path, capsys):
+    cfg = {"schema_version": 1, "params": {"M": 1.0, "R": 0.4}, "dt": 0.01, "steps": 5,
+           "canonical": False}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    out_csv = tmp_path / "t.csv"
+    code, out, _ = run_cli(["evolve", "--config", str(path), "--out", str(out_csv)], capsys)
+    assert code == 0
+    assert "xi_plus" not in out_csv.read_text().splitlines()[0]
+    assert json.loads(out)["steps"] == 5
+
+
 def test_missing_config_is_io_error(tmp_path, capsys):
     code, _, err = run_cli(["evolve", "--config", str(tmp_path / "nope.json")], capsys)
     assert code == 3

@@ -220,6 +220,21 @@ def test_hyperbolic_evolve_composition_and_broadcast():
     np.testing.assert_allclose(back, xi, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_hyperbolic_evolve_overflow_raises():
+    with pytest.raises(ValueError, match=r"gamma\*t = 800"):
+        hyperbolic_evolve((1.0, 0.5), 1.0, 800.0)
+    with pytest.raises(ValueError, match=r"gamma\*t = -800"):
+        hyperbolic_evolve((1.0, 0.5), 1.0, -800.0)
+    # only the second row overflows; the message names its gamma*t
+    with pytest.raises(ValueError, match=r"gamma\*t = 800"):
+        hyperbolic_evolve(np.array([[1.0, 0.5], [1.0, 0.5]]), np.array([0.1, 2.0]), 400.0)
+    with pytest.raises(ValueError, match="xi contains non-finite"):
+        hyperbolic_evolve((np.inf, 0.0), 1.0, 1.0)
+    # large but representable stays finite
+    assert np.isfinite(hyperbolic_evolve((1.0, 0.5), 1.0, 700.0)).all()
+
+
 def test_orbit_invariant_values():
     assert orbit_invariant((3.0, 5.0)) == pytest.approx(16.0)
     xi = np.array([[3.0, 5.0], [1.0, 1.0]])
