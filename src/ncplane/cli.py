@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -50,11 +51,11 @@ from .operator_core import NcParams, distance_spectrum
 from .phase_geometry import interference_phase_action, interference_phase_area, loop_action_phase
 from .vortex_film import (
     circulation_integral,
-    point_in_polygon,
+    count_phase,
+    film_length_scale,
     points_in_polygon,
     scene_from_dict,
     winding_number,
-    winding_phase,
 )
 
 EXIT_OK = 0
@@ -106,25 +107,63 @@ def _load_config(path: str) -> dict:
     return data
 
 
+def _csv_values(line: str) -> list[float] | None:
+    try:
+        return [float(c) for c in line.split(",")]
+    except ValueError:
+        return None
+
+
 def _read_path_csv(path: str) -> np.ndarray:
-    """Vertex CSV: columns (q, p) / (x, y), or (index, q, p); optional header."""
+    """Vertex CSV: columns (q, p) / (x, y), or (index, q, p); optional header.
+
+    A first non-blank line that is not all numbers is a header.  Every row
+    has the width of the first row, 2 or 3 columns; blank lines are skipped.
+    The body goes through numpy's C parser in one call; a file that parser
+    rejects is read again line by line, which names the offending line
+    (or, when only whitespace-only lines were in the way, reads the rows).
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    rows = []
-    for k, line in enumerate(lines):
-        cells = [c.strip() for c in line.split(",")]
-        try:
-            values = [float(c) for c in cells]
-        except ValueError:
-            if k == 0:
-                continue  # header row
-            raise ConfigError(f"{path}:{k + 1}: non-numeric row {line!r}")
-        if len(values) == 2:
-            rows.append(values)
-        elif len(values) == 3:
-            rows.append(values[1:])
+        for skip, line in enumerate(fh):
+            if line.strip():
+                break
         else:
-            raise ConfigError(f"{path}:{k + 1}: expected 2 or 3 columns, got {len(values)}")
+            raise ConfigError(f"{path}: no vertex rows found")
+    if _csv_values(line) is None:
+        skip += 1  # header row
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a header-only file warns "no data"
+            rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape[0] == 0 or rows.shape[1] not in (2, 3):
+        rows = _scan_path_csv(path, skip)
+    return np.ascontiguousarray(rows[:, -2:])
+
+
+def _scan_path_csv(path: str, skip: int) -> np.ndarray:
+    """Line-by-line read of a vertex CSV body after its first skip lines."""
+    rows: list[list[float]] = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno <= skip or not line.strip():
+                continue
+            values = _csv_values(line)
+            if values is None:
+                raise ConfigError(f"{path}:{lineno}: non-numeric row {line.strip()!r}")
+            if not rows:
+                first = lineno
+                if len(values) not in (2, 3):
+                    raise ConfigError(
+                        f"{path}:{lineno}: expected 2 or 3 columns, got {len(values)}"
+                    )
+            elif len(values) != len(rows[0]):
+                raise ConfigError(
+                    f"{path}:{lineno}: expected {len(rows[0])} columns as on line {first}, "
+                    f"got {len(values)} in {line.strip()!r}"
+                )
+            rows.append(values)
     if not rows:
         raise ConfigError(f"{path}: no vertex rows found")
     return np.asarray(rows, dtype=float)
@@ -144,6 +183,13 @@ def _require(value, what: str):
     return value
 
 
+def _number(value, key: str) -> float:
+    """A numeric setting as a float; JSON booleans and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config \"{key}\" must be a number, got {value!r}")
+    return float(value)
+
+
 def _potential_from(node) -> Potential:
     if node is None:
         return Potential.free()
@@ -157,7 +203,7 @@ def _potential_from(node) -> Potential:
     if kind == "harmonic":
         if "k" not in node:
             raise ConfigError("harmonic potential needs a stiffness \"k\"")
-        return Potential.harmonic(float(node["k"]))
+        return Potential.harmonic(_number(node["k"], "params.potential.k"))
     if kind == "polynomial":
         if "coeffs" not in node:
             raise ConfigError("polynomial potential needs a \"coeffs\" list")
@@ -244,9 +290,9 @@ def run_evolve(args) -> int:
     pcfg = cfg.get("params", {})
     if not isinstance(pcfg, dict):
         raise ConfigError("config \"params\" must be an object")
-    m = float(_require(_pick(args.M, pcfg, "M"), "M (mass)"))
-    r = float(_require(_pick(args.R, pcfg, "R"), "R (friction)"))
-    hbar = float(_pick(args.hbar, pcfg, "hbar", 1.0))
+    m = _number(_require(_pick(args.M, pcfg, "M"), "M (mass)"), "params.M")
+    r = _number(_require(_pick(args.R, pcfg, "R"), "R (friction)"), "params.R")
+    hbar = _number(_pick(args.hbar, pcfg, "hbar", 1.0), "params.hbar")
 
     if args.potential is not None:
         if args.potential == "free":
@@ -267,13 +313,13 @@ def run_evolve(args) -> int:
     if not isinstance(icfg, dict):
         raise ConfigError("config \"initial\" must be an object")
     initial = TwoCoordState(
-        x_plus=float(_pick(args.x_plus, icfg, "x_plus", 0.0)),
-        x_minus=float(_pick(args.x_minus, icfg, "x_minus", 0.0)),
-        v_plus=float(_pick(args.v_plus, icfg, "v_plus", 0.0)),
-        v_minus=float(_pick(args.v_minus, icfg, "v_minus", 0.0)),
-        t=float(icfg.get("t", 0.0)),
+        x_plus=_number(_pick(args.x_plus, icfg, "x_plus", 0.0), "initial.x_plus"),
+        x_minus=_number(_pick(args.x_minus, icfg, "x_minus", 0.0), "initial.x_minus"),
+        v_plus=_number(_pick(args.v_plus, icfg, "v_plus", 0.0), "initial.v_plus"),
+        v_minus=_number(_pick(args.v_minus, icfg, "v_minus", 0.0), "initial.v_minus"),
+        t=_number(_pick(None, icfg, "t", 0.0), "initial.t"),
     )
-    dt = float(_require(_pick(args.dt, cfg, "dt"), "dt"))
+    dt = _number(_require(_pick(args.dt, cfg, "dt"), "dt"), "dt")
     steps = _require(_pick(args.steps, cfg, "steps"), "steps")
     if isinstance(steps, bool) or not isinstance(steps, int):
         raise ConfigError(f"config \"steps\" must be an integer, got {steps!r}")
@@ -352,8 +398,8 @@ def run_phase(args) -> int:
 
     if scene_data is not None:
         scene = scene_from_dict(scene_data)
-        phase = winding_phase(scene)
         inside = int(np.count_nonzero(points_in_polygon(scene.atoms, scene.core_loop)))
+        phase = count_phase(scene.sigma, inside)
         _emit_json({"winding_phase": phase, "atoms_inside": inside, "sigma": scene.sigma}, out)
         return EXIT_OK
 
@@ -480,6 +526,9 @@ def run_vortex(args) -> int:
             raise ConfigError("scatter needs a density (in scatter or scene)")
         if "seed" not in scatter:
             raise ConfigError("scatter needs an integer \"seed\" for reproducibility")
+        seed = scatter["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ConfigError(f"config \"scatter.seed\" must be an integer, got {seed!r}")
         region = scatter.get("region")
         if not (isinstance(region, (list, tuple)) and len(region) == 4):
             raise ConfigError("scatter needs \"region\": [x0, y0, x1, y1]")
@@ -488,10 +537,9 @@ def run_vortex(args) -> int:
             raise ConfigError(f"degenerate scatter region {region}")
         area = (x1 - x0) * (y1 - y0)
         count = int(round(float(density) * area))
-        rng = np.random.default_rng(int(scatter["seed"]))
-        atoms = rng.uniform((x0, y0), (x1, y1), size=(count, 2))
+        rng = np.random.default_rng(seed)
         raw = dict(raw)
-        raw["atoms"] = atoms.tolist()
+        raw["atoms"] = rng.uniform((x0, y0), (x1, y1), size=(count, 2))
         raw.setdefault("density", float(density))
 
     scene = scene_from_dict(raw)
@@ -500,11 +548,9 @@ def run_vortex(args) -> int:
         "sigma": scene.sigma,
         "atoms": int(scene.atoms.shape[0]),
         "atoms_inside": inside,
-        "winding_phase": winding_phase(scene),
+        "winding_phase": count_phase(scene.sigma, inside),
     }
     if scene.density is not None:
-        from .vortex_film import film_length_scale
-
         report["length_scale"] = film_length_scale(scene.density)
     core = args.core if args.core is not None else cfg.get("core")
     if core is not None:
@@ -514,9 +560,10 @@ def run_vortex(args) -> int:
             if not (isinstance(core, (list, tuple)) and len(core) == 2):
                 raise ConfigError(f"config \"core\" must be [x, y], got {core!r}")
             cx, cy = float(core[0]), float(core[1])
-        report["core_winding"] = winding_number((cx, cy), scene.core_loop)
+        core_winding = winding_number((cx, cy), scene.core_loop)
+        report["core_winding"] = core_winding
         report["circulation"] = circulation_integral((cx, cy), scene.core_loop, scene.sigma)
-        report["core_inside"] = point_in_polygon((cx, cy), scene.core_loop)
+        report["core_inside"] = core_winding != 0
     _emit_json(report, out)
     return EXIT_OK
 

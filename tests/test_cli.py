@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ncplane.cli import main
+from ncplane.cli import ConfigError, _read_path_csv, main
 
 
 def run_cli(argv, capsys):
@@ -164,6 +164,31 @@ def test_evolve_config_types_are_strict(tmp_path, capsys, key, value):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("params", "M", True), ("params", "R", "0.4"), ("params", "hbar", False),
+     (None, "dt", True), (None, "dt", "0.01"), ("initial", "x_plus", "0.5"),
+     ("initial", "v_minus", True), ("initial", "t", [0.0]), ("potential", "k", "2.0"),
+     ("potential", "k", True)],
+)
+def test_evolve_numeric_settings_are_strict(tmp_path, capsys, section, key, value):
+    cfg = {"schema_version": 1, "params": {"M": 1.0, "R": 0.4}, "dt": 0.01, "steps": 5}
+    if section is None:
+        cfg[key] = value
+    elif section == "potential":
+        cfg["params"]["potential"] = {"kind": "harmonic", key: value}
+    else:
+        cfg.setdefault(section, {})[key] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["evolve", "--config", str(path), "--out", str(tmp_path / "t.csv")],
+                             capsys)
+    assert code == 2
+    name = {None: key, "potential": f"params.potential.{key}"}.get(section, f"{section}.{key}")
+    assert f'"{name}" must be a number' in err
+    assert out == ""
+
+
 def test_evolve_config_canonical_false_drops_columns(tmp_path, capsys):
     cfg = {"schema_version": 1, "params": {"M": 1.0, "R": 0.4}, "dt": 0.01, "steps": 5,
            "canonical": False}
@@ -204,6 +229,45 @@ def write_loop_csv(path, vertices, header=True, index_column=False):
     for k, (q, p) in enumerate(vertices):
         lines.append(f"{k},{q},{p}" if index_column else f"{q},{p}")
     path.write_text("\n".join(lines) + "\n")
+
+
+def test_path_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("\n  \nq,p\n\n0,0\n \t\n1, 0\n1 ,1\n\n")
+    np.testing.assert_array_equal(_read_path_csv(str(path)), [[0, 0], [1, 0], [1, 1]])
+    path.write_text("\n0,0,0\n\n1,1,0\n2,1,1\n")
+    np.testing.assert_array_equal(_read_path_csv(str(path)), [[0, 0], [1, 0], [1, 1]])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("q,p\n0,0\n\n1,0,7\n1,1\n", r"bad\.csv:4: expected 2 columns as on line 2, got 3 in '1,0,7'"),
+        ("i,q,p\n0,0,0\n1,1\n", r"bad\.csv:3: expected 3 columns as on line 2, got 2 in '1,1'"),
+        ("0,0\n1,0\n\n1,x\n", r"bad\.csv:4: non-numeric row '1,x'"),
+        ("q,p\n0,0\n1,0,\n", r"bad\.csv:3: non-numeric row '1,0,'"),
+        ("q,p\n0,0,1,2\n1,0,1,2\n", r"bad\.csv:2: expected 2 or 3 columns, got 4"),
+        ("", r"bad\.csv: no vertex rows found"),
+        ("\n \n", r"bad\.csv: no vertex rows found"),
+        ("q,p\n\n", r"bad\.csv: no vertex rows found"),
+    ],
+    ids=["ragged-3", "ragged-2", "non-numeric", "trailing-comma", "four-columns", "empty",
+         "blank-only", "header-only"],
+)
+def test_path_csv_errors_name_the_line(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        _read_path_csv(str(path))
+
+
+def test_phase_loop_csv_error_exit_code(tmp_path, capsys):
+    loop = tmp_path / "loop.csv"
+    loop.write_text("q,p\n0,0\n1,0\nnan?,1\n")
+    code, out, err = run_cli(["phase", "--loop", str(loop), "--L", "1.0"], capsys)
+    assert code == 2
+    assert "loop.csv:4: non-numeric row 'nan?,1'" in err
+    assert out == ""
 
 
 def test_phase_loop_area_and_action(tmp_path, capsys):
@@ -357,6 +421,41 @@ def test_vortex_scatter_requires_seed(tmp_path, capsys):
     code, _, err = run_cli(["vortex", "--config", str(path)], capsys)
     assert code == 2
     assert "seed" in err
+
+
+@pytest.mark.parametrize("seed", [1.7, 3.0, True, "42", None])
+def test_vortex_scatter_seed_must_be_an_integer(tmp_path, capsys, seed):
+    cfg = {
+        "schema_version": 1,
+        "scene": {"core_loop": [[0, 0], [1, 0], [1, 1]], "sigma": 1},
+        "scatter": {"region": [0, 0, 2, 2], "density": 1.0, "seed": seed},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["vortex", "--config", str(path)], capsys)
+    assert code == 2
+    assert '"scatter.seed" must be an integer' in err
+    assert out == ""
+
+
+def test_vortex_scatter_equals_explicit_atoms(tmp_path, capsys):
+    loop = [[2, 2], [6, 2.5], [6, 6], [2, 6]]
+    cfg = {
+        "schema_version": 1,
+        "scene": {"core_loop": loop, "sigma": -1},
+        "scatter": {"region": [0, 0, 10, 10], "seed": 9, "density": 3.0},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, scattered, _ = run_cli(["vortex", "--config", str(path), "--core", "4,4"], capsys)
+    assert code == 0
+    atoms = np.random.default_rng(9).uniform((0, 0), (10, 10), size=(300, 2))
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"core_loop": loop, "atoms": atoms.tolist(), "sigma": -1,
+                                 "density": 3.0}))
+    code, explicit, _ = run_cli(["vortex", "--scene", str(scene), "--core", "4,4"], capsys)
+    assert code == 0
+    assert scattered == explicit
 
 
 def test_spectrum_output_is_deterministic(tmp_path, capsys):
