@@ -1,5 +1,5 @@
-"""Golden CLI outputs: `algebra` tables, `spectrum --kind distance` listings,
-and the film commands (`vortex`, `phase`).
+"""Golden CLI outputs: `algebra` tables, `spectrum` listings, the film
+commands (`vortex`, `phase`) and `evolve` trajectories with their summaries.
 
 The algebra and spectrum goldens under tests/golden/ were recorded from the
 implementation that built every bracket on dim^2 x dim^2 Kronecker matrices
@@ -19,18 +19,33 @@ tests/golden/film/:
   path2.csv (two branches of one loop; the second has an index column and
   no header).
 
+The evolve goldens (tests/golden/evolve.json) and the Landau spectrum
+goldens (tests/golden/landau.json) were recorded from the implementation
+that integrated into one state object per step and built every CSV row and
+summary entry with per-row Python calls.  The evolve cases cover the free,
+harmonic and quartic potentials, canonical columns on and off (by default,
+by flag, and by "canonical": false in a config), starts on the diagonal
+(which add `classical_residual` and `max_diagonal_split`) and off it, R = 0,
+one- and two-step runs, a negative-zero velocity, and both the flag and the
+--config forms; their configs are under tests/golden/evolve/.  Three long
+runs (up to the 1e5-step harmonic --canonical run) are too big to commit:
+their CSV is held by its sha256, their stdout in full.
+
 * `algebra`: `table` and `artifact` must compare equal as parsed floats
   (so -0.0 == 0.0); `max_clean_deviation` is roundoff whose exact value
   depends on the BLAS summation order, so it is only held below
   1e-12 * max(1, max|table|).
-* `spectrum --kind distance` and the film commands: the output file must
-  match byte for byte.
+* `spectrum`, the film commands and `evolve`: the output file (and for
+  `evolve` also stdout) must match byte for byte.
 
 To record goldens again from a reference checkout (all groups by default):
 
-    PYTHONPATH=src python tests/test_golden.py [algebra] [spectrum] [film]
+    PYTHONPATH=src python tests/test_golden.py [algebra] [spectrum] [film] [evolve] [landau]
 """
 
+import contextlib
+import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -43,6 +58,9 @@ GOLDEN = Path(__file__).parent / "golden"
 ALGEBRA_FILE = GOLDEN / "algebra.json"
 FILM_FILE = GOLDEN / "film.json"
 FILM_INPUTS = GOLDEN / "film"
+EVOLVE_FILE = GOLDEN / "evolve.json"
+EVOLVE_INPUTS = GOLDEN / "evolve"
+LANDAU_FILE = GOLDEN / "landau.json"
 
 ALGEBRA_PARAMS = {
     "magnetic": {
@@ -94,14 +112,90 @@ FILM_CASES = {
 }
 
 
+# evolve cases: input file names relative to EVOLVE_INPUTS marked "@"
+_FREE = ["--potential", "free"]
+_HARMONIC = ["--potential", "harmonic", "--k", "1.0"]
+EVOLVE_CASES = {
+    "free-flags": ["evolve", "--M", "1.0", "--R", "0.5", *_FREE, "--x-plus", "0.3",
+                   "--x-minus", "-0.2", "--v-plus", "0.9", "--v-minus", "0.4",
+                   "--dt", "0.01", "--steps", "60"],
+    "free-flags-diag-canonical": ["evolve", "--M", "2.0", "--R", "1.1", *_FREE,
+                                  "--x-plus", "-0.4", "--x-minus", "-0.4", "--v-plus", "0.25",
+                                  "--v-minus", "0.25", "--dt", "0.02", "--steps", "45",
+                                  "--canonical"],
+    "harmonic-flags-canonical": ["evolve", "--M", "1.0", "--R", "0.2", *_HARMONIC,
+                                 "--x-plus", "0.6113", "--x-minus", "-0.2871",
+                                 "--v-plus", "0.9402", "--v-minus", "-0.5516",
+                                 "--dt", "5e-4", "--steps", "80", "--canonical"],
+    "harmonic-flags-diag": ["evolve", "--M", "0.9", "--R", "0.3", "--potential", "harmonic",
+                            "--k", "1.5", "--x-plus", "1", "--x-minus", "1",
+                            "--dt", "0.01", "--steps", "65"],
+    "polynomial-flags": ["evolve", "--M", "1.1", "--R", "0.25", "--potential", "polynomial",
+                         "--coeffs", "0,0.2,0.5,-0.1,0.25", "--x-plus", "0.5",
+                         "--x-minus", "0.1", "--v-plus", "-0.3", "--v-minus", "0.6",
+                         "--dt", "0.01", "--steps", "50"],
+    "r0-flags-free": ["evolve", "--M", "1.0", "--R", "0", *_FREE, "--x-plus", "0.2",
+                      "--x-minus", "-0.1", "--v-plus", "-0.5", "--v-minus", "0.3",
+                      "--dt", "0.05", "--steps", "30"],
+    "r0-flags-free-negative-zero": ["evolve", "--M", "1.0", "--R", "0", *_FREE,
+                                    "--x-plus", "-0.0", "--x-minus", "0.25",
+                                    "--v-plus", "-0.0", "--v-minus", "-0.7",
+                                    "--dt", "0.05", "--steps", "20"],
+    "steps1-diag": ["evolve", "--M", "1.0", "--R", "0.4", *_HARMONIC, "--x-plus", "0.2",
+                    "--x-minus", "0.2", "--dt", "0.1", "--steps", "1"],
+    "steps2-diag": ["evolve", "--M", "1.0", "--R", "0.4", *_HARMONIC, "--x-plus", "0.2",
+                    "--x-minus", "0.2", "--dt", "0.1", "--steps", "2"],
+    "quartic-config-diag": ["evolve", "--config", "@quartic_diag.json"],
+    "quartic-config-off": ["evolve", "--config", "@quartic_off.json"],
+    "harmonic-config-no-canonical": ["evolve", "--config", "@harmonic_nocanon.json"],
+    "harmonic-config-overridden": ["evolve", "--config", "@harmonic_nocanon.json",
+                                   "--canonical", "--steps", "30", "--v-minus", "0.2"],
+    "free-config-diag": ["evolve", "--config", "@free_diag.json"],
+    "r0-config-harmonic-diag": ["evolve", "--config", "@r0_harmonic.json"],
+}
+# long runs: CSV held by sha256; the first is shaped like the benchmark's run
+EVOLVE_SHA_CASES = {
+    "harmonic-canonical-1e5": ["evolve", "--M", "1.0", "--R", "0.2", *_HARMONIC,
+                               "--x-plus", "0.6113", "--x-minus", "-0.2871",
+                               "--v-plus", "0.9402", "--v-minus", "-0.5516",
+                               "--dt", "5e-4", "--steps", "100000", "--canonical"],
+    "free-canonical-2e4": ["evolve", "--M", "1.0", "--R", "0.5", *_FREE, "--x-plus", "0.3",
+                           "--x-minus", "-0.2", "--v-plus", "0.9", "--v-minus", "0.4",
+                           "--dt", "0.001", "--steps", "20000"],
+    "quartic-diag-2e4": ["evolve", "--config", "@quartic_diag.json", "--steps", "20000"],
+}
+LANDAU_CASES = {
+    f"landau-{name}.{fmt}": ["spectrum", "--kind", "landau", *extra, "--format", fmt]
+    for name, extra in (
+        ("omega", ["--omega-c", "1.3", "--n-max", "6"]),
+        ("omega-hbar", ["--omega-c", "0.37", "--hbar", "1.7", "--n-max", "0"]),
+        ("field", ["--B", "2.5", "--charge", "1.3", "--light-speed", "2.0",
+                   "--mass", "0.8", "--hbar", "0.6", "--n-max", "9"]),
+    )
+    for fmt in ("csv", "json")
+}
+
+
+def _inputs_argv(argv, base: Path) -> list:
+    return [str(base / a[1:]) if a.startswith("@") else a for a in argv]
+
+
 def _film_argv(argv) -> list:
-    return [str(FILM_INPUTS / a[1:]) if a.startswith("@") else a for a in argv]
+    return _inputs_argv(argv, FILM_INPUTS)
 
 
 def _run(argv, out_path) -> str:
     code = main([*argv, "--out", str(out_path)])
     assert code == 0, f"{argv} exited with {code}"
     return Path(out_path).read_text()
+
+
+def _run_evolve(argv, out_path) -> tuple[str, bytes]:
+    """stdout and --out bytes of one evolve case."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        _run(_inputs_argv(argv, EVOLVE_INPUTS), out_path)
+    return stdout.getvalue(), Path(out_path).read_bytes()
 
 
 def _golden_algebra() -> dict:
@@ -134,6 +228,31 @@ def test_film_matches_golden_bytes(name, tmp_path):
     assert out.read_bytes() == want.encode()
 
 
+@pytest.mark.parametrize("name", sorted(EVOLVE_CASES))
+def test_evolve_matches_golden_bytes(name, tmp_path):
+    want = json.loads(EVOLVE_FILE.read_text())[name]
+    stdout, out = _run_evolve(EVOLVE_CASES[name], tmp_path / "out.csv")
+    assert stdout == want["stdout"]
+    assert out == want["out"].encode()
+
+
+@pytest.mark.parametrize("name", sorted(EVOLVE_SHA_CASES))
+def test_long_evolve_matches_golden_sha256(name, tmp_path):
+    want = json.loads(EVOLVE_FILE.read_text())[name]
+    stdout, out = _run_evolve(EVOLVE_SHA_CASES[name], tmp_path / "out.csv")
+    assert stdout == want["stdout"]
+    assert len(out) == want["out_bytes"]
+    assert hashlib.sha256(out).hexdigest() == want["out_sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(LANDAU_CASES))
+def test_landau_spectrum_matches_golden_bytes(name, tmp_path):
+    want = json.loads(LANDAU_FILE.read_text())[name]
+    out = tmp_path / name
+    _run(LANDAU_CASES[name], out)
+    assert out.read_bytes() == want.encode()
+
+
 def record(tmp_dir: Path, groups) -> None:
     """Write the goldens of the given groups from the ncplane on sys.path."""
     GOLDEN.mkdir(exist_ok=True)
@@ -148,6 +267,19 @@ def record(tmp_dir: Path, groups) -> None:
         film = {name: _run(_film_argv(argv), tmp_dir / "out.json")
                 for name, argv in FILM_CASES.items()}
         FILM_FILE.write_text(json.dumps(film, indent=1, sort_keys=True) + "\n")
+    if "evolve" in groups:
+        evolve = {}
+        for name, argv in EVOLVE_CASES.items():
+            stdout, out = _run_evolve(argv, tmp_dir / "out.csv")
+            evolve[name] = {"stdout": stdout, "out": out.decode()}
+        for name, argv in EVOLVE_SHA_CASES.items():
+            stdout, out = _run_evolve(argv, tmp_dir / "out.csv")
+            evolve[name] = {"stdout": stdout, "out_bytes": len(out),
+                            "out_sha256": hashlib.sha256(out).hexdigest()}
+        EVOLVE_FILE.write_text(json.dumps(evolve, indent=1, sort_keys=True) + "\n")
+    if "landau" in groups:
+        landau = {name: _run(argv, tmp_dir / name) for name, argv in LANDAU_CASES.items()}
+        LANDAU_FILE.write_text(json.dumps(landau, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
@@ -155,4 +287,4 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        record(Path(tmp), sys.argv[1:] or ("algebra", "spectrum", "film"))
+        record(Path(tmp), sys.argv[1:] or ("algebra", "spectrum", "film", "evolve", "landau"))
