@@ -22,6 +22,8 @@ Config/flag cheat sheet (flags override config keys):
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 import warnings
@@ -36,7 +38,8 @@ from .dissipative_dynamics import (
     canonical_coords,
     hamiltonian_value,
     hyperbolic_evolve,
-    integrate_trajectory,
+    integrate_array,
+    integrate_trajectory,  # noqa: F401  (bench/tracing.py patches it in this namespace too)
     kappa_commutator_check,
     orbit_invariant,
 )
@@ -64,14 +67,16 @@ EXIT_IO = 3
 EXIT_DIVERGED = 4
 
 SCHEMA_VERSION = 1
+CSV_BLOCK_ROWS = 4096
+EVOLVE_HEADER = {
+    False: "t,x_plus,x_minus,v_plus,v_minus,hamiltonian",
+    True: "t,x_plus,x_minus,v_plus,v_minus,xi_plus,xi_minus,X_plus,X_minus,hamiltonian,"
+          "orbit_invariant",
+}
 
 
 class ConfigError(ValueError):
     """Invalid configuration; mapped to exit code 2."""
-
-
-def _g17(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -80,6 +85,21 @@ def _emit(text: str, out_path: str | None) -> None:
     else:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
+
+
+def _emit_csv(header: str, table: np.ndarray, out_path: str | None) -> None:
+    """Header line, then one row of %.17g values per table row.
+
+    Rows are formatted CSV_BLOCK_ROWS at a time by one %-format each;
+    "%.17g" % x gives the bytes of format(x, ".17g").
+    """
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with (contextlib.nullcontext(sys.stdout) if out_path is None
+          else open(out_path, "w", newline="")) as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[lo:lo + CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _emit_json(obj, out_path: str | None) -> None:
@@ -205,9 +225,12 @@ def _potential_from(node) -> Potential:
             raise ConfigError("harmonic potential needs a stiffness \"k\"")
         return Potential.harmonic(_number(node["k"], "params.potential.k"))
     if kind == "polynomial":
-        if "coeffs" not in node:
-            raise ConfigError("polynomial potential needs a \"coeffs\" list")
-        return Potential.polynomial(node["coeffs"])
+        coeffs = node.get("coeffs")
+        if not isinstance(coeffs, list):
+            raise ConfigError(f"polynomial potential needs a \"coeffs\" list, got {coeffs!r}")
+        return Potential.polynomial(
+            [_number(c, f"params.potential.coeffs[{i}]") for i, c in enumerate(coeffs)]
+        )
     raise ConfigError(f"unknown potential kind {kind!r} (free, harmonic, polynomial)")
 
 
@@ -237,51 +260,46 @@ def run_spectrum(args) -> int:
     if args.format == "json":
         _emit_json({"kind": args.kind, "values": [float(v) for v in values]}, args.out)
     else:
-        lines = ["n,value"]
-        lines += [f"{n},{_g17(v)}" for n, v in enumerate(values)]
-        _emit("\n".join(lines) + "\n", args.out)
+        values = np.asarray(values, dtype=float)
+        _emit_csv("n,value", np.column_stack((np.arange(len(values)), values)), args.out)
     return EXIT_OK
 
 
 # ------------------------------------------------------------------- evolve
 
-def _evolve_summary(states, params, want_canonical: bool, dt: float) -> dict:
-    h0 = hamiltonian_value(states[0], params)
-    h_scale = max(1.0, abs(h0))
-    max_h_drift = max(abs(hamiltonian_value(s, params) - h0) for s in states) / h_scale
+def _evolve_summary(traj, params, h, xi, inv, dt: float) -> dict:
+    """Run summary from the trajectory's columns; xi and inv are None
+    without canonical columns."""
+    steps = len(traj) - 1
     summary = {
         "dt": dt,
-        "steps": len(states) - 1,
-        "gamma_t_total": params.gamma * dt * (len(states) - 1),
-        "max_hamiltonian_drift": max_h_drift,
+        "steps": steps,
+        "gamma_t_total": params.gamma * dt * steps,
+        "max_hamiltonian_drift": float(np.abs(h - h[0]).max()) / max(1.0, abs(float(h[0]))),
     }
-    if want_canonical:
-        xi_series = [canonical_coords(s, params).xi for s in states]
-        inv0 = orbit_invariant(xi_series[0])
-        inv_scale = max(1.0, abs(inv0))
-        summary["max_orbit_invariant_drift"] = max(
-            abs(orbit_invariant(xi) - inv0) for xi in xi_series
-        ) / inv_scale
+    if xi is not None:
+        inv0 = float(inv[0])
+        summary["max_orbit_invariant_drift"] = (
+            float(np.abs(inv - inv0).max()) / max(1.0, abs(inv0))
+        )
         if params.potential.kind == "free":
-            t0 = states[0].t
-            dev = 0.0
-            for s, xi in zip(states, xi_series):
-                closed = hyperbolic_evolve(xi_series[0], params.gamma, s.t - t0)
-                scale = max(1.0, float(np.abs(closed).max()))
-                dev = max(dev, float(np.abs(np.asarray(xi) - closed).max()) / scale)
-            summary["hyperbolic_max_deviation"] = dev
+            closed = hyperbolic_evolve(xi[0], params.gamma, traj[:, 0] - traj[0, 0])
+            scale = np.maximum(1.0, np.abs(closed).max(axis=1))
+            summary["hyperbolic_max_deviation"] = float(
+                (np.abs(xi - closed).max(axis=1) / scale).max()
+            )
 
-    s0 = states[0]
-    diagonal = abs(s0.x_plus - s0.x_minus) <= 1e-12 and abs(s0.v_plus - s0.v_minus) <= 1e-12
-    if diagonal and len(states) >= 3:
-        x = np.array([0.5 * (s.x_plus + s.x_minus) for s in states])
+    _, xp, xm, vp, vm = traj.T
+    diagonal = abs(xp[0] - xm[0]) <= 1e-12 and abs(vp[0] - vm[0]) <= 1e-12
+    if diagonal and steps >= 2:
+        x = 0.5 * (xp + xm)
         acc = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / dt**2
         vel = (x[2:] - x[:-2]) / (2.0 * dt)
-        du = np.array([params.potential.derivative(v) for v in x[1:-1]])
+        du = params.potential.derivative(x[1:-1])
         summary["classical_residual"] = float(
             np.abs(params.M * acc + params.R * vel + du).max()
         )
-        summary["max_diagonal_split"] = max(abs(s.x_plus - s.x_minus) for s in states)
+        summary["max_diagonal_split"] = float(np.abs(xp - xm).max())
     return summary
 
 
@@ -332,31 +350,18 @@ def run_evolve(args) -> int:
     want_canonical = (params.R > 0) if canonical is None else bool(canonical)
     out = _pick(args.out, cfg, "out")
 
-    states = integrate_trajectory(initial, params, dt, steps)
-
+    traj = integrate_array(initial, params, dt, steps)
+    h = hamiltonian_value(traj, params)
+    xi = inv = None
     if want_canonical:
-        header = (
-            "t,x_plus,x_minus,v_plus,v_minus,"
-            "xi_plus,xi_minus,X_plus,X_minus,hamiltonian,orbit_invariant"
-        )
-        lines = [header]
-        for s in states:
-            cc = canonical_coords(s, params)
-            row = (
-                s.t, s.x_plus, s.x_minus, s.v_plus, s.v_minus,
-                cc.xi_plus, cc.xi_minus, cc.X_plus, cc.X_minus,
-                hamiltonian_value(s, params), orbit_invariant(cc.xi),
-            )
-            lines.append(",".join(_g17(v) for v in row))
+        cc = canonical_coords(traj, params)
+        xi = np.column_stack(cc.xi)
+        inv = orbit_invariant(xi)
+        columns = (traj, xi, cc.X_plus, cc.X_minus, h, inv)
     else:
-        lines = ["t,x_plus,x_minus,v_plus,v_minus,hamiltonian"]
-        for s in states:
-            row = (s.t, s.x_plus, s.x_minus, s.v_plus, s.v_minus,
-                   hamiltonian_value(s, params))
-            lines.append(",".join(_g17(v) for v in row))
-    _emit("\n".join(lines) + "\n", out)
-
-    summary = _evolve_summary(states, params, want_canonical, dt)
+        columns = (traj, h)
+    _emit_csv(EVOLVE_HEADER[want_canonical], np.column_stack(columns), out)
+    summary = _evolve_summary(traj, params, h, xi, inv, dt)
     sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -376,7 +381,7 @@ def _loop_from(args, cfg: dict):
 def run_phase(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     out = _pick(args.out, cfg, "out")
-    hbar = float(_pick(args.hbar, cfg, "hbar", 1.0))
+    hbar = _number(_pick(args.hbar, cfg, "hbar", 1.0), "hbar")
 
     scene_data = None
     if args.scene is not None:
@@ -418,11 +423,11 @@ def run_phase(args) -> int:
         if not isinstance(mcfg, dict):
             raise ConfigError("config \"magnetic\" must be an object")
         mp = MagneticParams(
-            B=float(_require(_pick(args.B, mcfg, "B"), "B (field strength)")),
-            e=float(_pick(args.charge, mcfg, "e", 1.0)),
-            c=float(_pick(args.light_speed, mcfg, "c", 1.0)),
-            M=float(_pick(args.mass, mcfg, "M", 1.0)),
-            hbar=float(_pick(args.hbar, mcfg, "hbar", 1.0)),
+            B=_number(_require(_pick(args.B, mcfg, "B"), "B (field strength)"), "magnetic.B"),
+            e=_number(_pick(args.charge, mcfg, "e", 1.0), "magnetic.e"),
+            c=_number(_pick(args.light_speed, mcfg, "c", 1.0), "magnetic.c"),
+            M=_number(_pick(args.mass, mcfg, "M", 1.0), "magnetic.M"),
+            hbar=_number(_pick(args.hbar, mcfg, "hbar", 1.0), "magnetic.hbar"),
         )
         phase_ab = aharonov_bohm_phase(mp, loop)
         area_params = NcParams(L=magnetic_length(mp), hbar=mp.hbar)
@@ -437,8 +442,8 @@ def run_phase(args) -> int:
         )
         return EXIT_OK
 
-    length = _require(_pick(args.L, cfg, "L"), "--L (length scale)")
-    params = NcParams(L=float(length), hbar=hbar)
+    length = _number(_require(_pick(args.L, cfg, "L"), "--L (length scale)"), "L")
+    params = NcParams(L=length, hbar=hbar)
     phase_area = interference_phase_area(loop, params)
     phase_action = loop_action_phase(loop, params)
     _emit_json(
@@ -521,9 +526,11 @@ def run_vortex(args) -> int:
             raise ConfigError("config \"scatter\" must be an object")
         if np.asarray(raw.get("atoms", []), dtype=float).size:
             raise ConfigError("scatter and explicit scene atoms are mutually exclusive")
+        key = "scatter.density" if "density" in scatter else "scene.density"
         density = scatter.get("density", raw.get("density"))
         if density is None:
             raise ConfigError("scatter needs a density (in scatter or scene)")
+        density = _number(density, key)
         if "seed" not in scatter:
             raise ConfigError("scatter needs an integer \"seed\" for reproducibility")
         seed = scatter["seed"]
@@ -532,15 +539,15 @@ def run_vortex(args) -> int:
         region = scatter.get("region")
         if not (isinstance(region, (list, tuple)) and len(region) == 4):
             raise ConfigError("scatter needs \"region\": [x0, y0, x1, y1]")
-        x0, y0, x1, y1 = (float(v) for v in region)
+        x0, y0, x1, y1 = (_number(v, f"scatter.region[{i}]") for i, v in enumerate(region))
         if not (x1 > x0 and y1 > y0):
             raise ConfigError(f"degenerate scatter region {region}")
         area = (x1 - x0) * (y1 - y0)
-        count = int(round(float(density) * area))
+        count = int(round(density * area))
         rng = np.random.default_rng(seed)
         raw = dict(raw)
         raw["atoms"] = rng.uniform((x0, y0), (x1, y1), size=(count, 2))
-        raw.setdefault("density", float(density))
+        raw.setdefault("density", density)
 
     scene = scene_from_dict(raw)
     inside = int(np.count_nonzero(points_in_polygon(scene.atoms, scene.core_loop)))
@@ -559,7 +566,7 @@ def run_vortex(args) -> int:
         else:
             if not (isinstance(core, (list, tuple)) and len(core) == 2):
                 raise ConfigError(f"config \"core\" must be [x, y], got {core!r}")
-            cx, cy = float(core[0]), float(core[1])
+            cx, cy = _number(core[0], "core[0]"), _number(core[1], "core[1]")
         core_winding = winding_number((cx, cy), scene.core_loop)
         report["core_winding"] = core_winding
         report["circulation"] = circulation_integral((cx, cy), scene.core_loop, scene.sigma)
@@ -570,7 +577,9 @@ def run_vortex(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parse_args leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="ncplane",
         description="Noncommutative-plane toolkit: spectra, trajectories, phases, "

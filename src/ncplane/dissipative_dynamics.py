@@ -26,6 +26,13 @@ boost preserves the Minkowski form xi_minus^2 - xi_plus^2, the orbit
 invariant, and the generator restricted to pure friction is
 H_friction = (hbar^2 / (2 M L^4)) (xi_minus^2 - xi_plus^2).
 
+A trajectory is an (N, 5) array with columns t, x+, x-, v+, v-:
+integrate_array fills it from one scalar RK4 loop, and hamiltonian_value,
+canonical_momenta and canonical_coords take such an array as well as a
+single TwoCoordState, returning one column per quantity with the same bits
+the per-state call gives.  integrate_trajectory (a list of TwoCoordState)
+and trajectory_to_array (a list back to the array) convert between the two.
+
 The quantized inverted oscillator behind the boost transmits wavepackets
 with probability P(omega) = 1 / (1 + exp(-2 pi omega / G)), and energy
 eigenstates dephase as rho_fi(t) = exp(-i (E_f - E_i) t / hbar) rho_fi(0),
@@ -51,6 +58,7 @@ __all__ = [
     "CanonicalCoords",
     "DivergenceError",
     "eom_rhs",
+    "integrate_array",
     "integrate_trajectory",
     "trajectory_to_array",
     "hamiltonian_value",
@@ -76,7 +84,8 @@ class Potential:
 
     Polynomial coefficients are ascending powers: coeffs[k] multiplies x**k.
     Construct through the classmethods; the raw constructor is not
-    validated against mixed kinds.
+    validated against mixed kinds.  value and derivative take a float or an
+    array (the free potential gives a scalar 0.0 for either).
     """
 
     kind: str
@@ -106,7 +115,7 @@ class Potential:
             raise ValueError("polynomial coefficients must be finite")
         return cls(kind="polynomial", coeffs=coeffs)
 
-    def value(self, x: float) -> float:
+    def value(self, x):
         if self.kind == "free":
             return 0.0
         if self.kind == "harmonic":
@@ -116,7 +125,7 @@ class Potential:
             acc = acc * x + c
         return acc
 
-    def derivative(self, x: float) -> float:
+    def derivative(self, x):
         if self.kind == "free":
             return 0.0
         if self.kind == "harmonic":
@@ -201,25 +210,28 @@ class DivergenceError(RuntimeError):
         super().__init__(f"trajectory diverged at step {step} (t = {t:g}): non-finite state")
 
 
-def integrate_trajectory(
-    initial: TwoCoordState,
-    params: DissipativeParams,
-    dt: float,
-    steps: int,
-) -> list[TwoCoordState]:
-    """Fixed-step RK4 integration of the doubled equations of motion.
+# steps per finiteness check, and per copy of plain floats into the array
+_BLOCK_STEPS = 4096
 
-    Returns steps + 1 states including the initial one.  dt * gamma < 0.1
-    is the recommended operating range; at dt * gamma >= 1 a RuntimeWarning
-    is emitted because fixed-step RK4 is no longer trustworthy there.
-    Raises DivergenceError (with the failing step index) if the state stops
-    being finite.
-    """
+
+def _derivative_fn(potential: Potential):
+    """U' as a plain function of one float, with the operations of Potential.derivative."""
+    if potential.kind == "free":
+        return lambda x: 0.0
+    if potential.kind == "harmonic":
+        k = potential.k
+        return lambda x: k * x
+    return potential.derivative
+
+
+def _integrate(initial: TwoCoordState, params: DissipativeParams, dt: float, steps: int,
+               stacklevel: int) -> np.ndarray:
+    """The RK4 kernel behind integrate_array and integrate_trajectory."""
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps}")
-    fields = (initial.x_plus, initial.x_minus, initial.v_plus, initial.v_minus, initial.t)
+    fields = (initial.t, initial.x_plus, initial.x_minus, initial.v_plus, initial.v_minus)
     if not all(math.isfinite(v) for v in fields):
         raise ValueError("initial state contains non-finite entries")
     if params.R > 0 and dt * params.gamma >= 1.0:
@@ -227,35 +239,82 @@ def integrate_trajectory(
             f"dt * gamma = {dt * params.gamma:g} >= 1: fixed-step RK4 is unreliable here "
             "(recommended dt * gamma < 0.1)",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=stacklevel + 1,
         )
 
     m = params.M
     r = params.R
-    du = params.potential.derivative
-
-    def rhs(xp, xm, vp, vm):
-        return vp, vm, -(r * vm + du(xp)) / m, -(r * vp + du(xm)) / m
-
-    xp, xm, vp, vm = initial.x_plus, initial.x_minus, initial.v_plus, initial.v_minus
-    t0 = initial.t
-    out = [TwoCoordState(xp, xm, vp, vm, t0)]
+    du = _derivative_fn(params.potential)
+    t0, xp, xm, vp, vm = (float(v) for v in fields)
+    out = np.empty((steps + 1, 5))
+    out[:, 0] = t0 + np.arange(steps + 1) * dt
+    out[0] = (t0, xp, xm, vp, vm)
     half = 0.5 * dt
     sixth = dt / 6.0
-    for k in range(1, steps + 1):
-        a1 = rhs(xp, xm, vp, vm)
-        a2 = rhs(xp + half * a1[0], xm + half * a1[1], vp + half * a1[2], vm + half * a1[3])
-        a3 = rhs(xp + half * a2[0], xm + half * a2[1], vp + half * a2[2], vm + half * a2[3])
-        a4 = rhs(xp + dt * a3[0], xm + dt * a3[1], vp + dt * a3[2], vm + dt * a3[3])
-        xp += sixth * (a1[0] + 2.0 * (a2[0] + a3[0]) + a4[0])
-        xm += sixth * (a1[1] + 2.0 * (a2[1] + a3[1]) + a4[1])
-        vp += sixth * (a1[2] + 2.0 * (a2[2] + a3[2]) + a4[2])
-        vm += sixth * (a1[3] + 2.0 * (a2[3] + a3[3]) + a4[3])
-        t = t0 + k * dt
-        if not (math.isfinite(xp) and math.isfinite(xm) and math.isfinite(vp) and math.isfinite(vm)):
-            raise DivergenceError(step=k, t=t)
-        out.append(TwoCoordState(xp, xm, vp, vm, t))
+    isfinite = math.isfinite
+    for lo in range(1, steps + 1, _BLOCK_STEPS):
+        hi = min(lo + _BLOCK_STEPS, steps + 1)
+        rows = []
+        push = rows.append
+        for _ in range(lo, hi):
+            # stage k evaluates (x, x', v, v') -> (v, v', -(R v' + U'(x)) / M, ...)
+            f1 = -(r * vm + du(xp)) / m
+            g1 = -(r * vp + du(xm)) / m
+            u2 = vp + half * f1
+            w2 = vm + half * g1
+            f2 = -(r * w2 + du(xp + half * vp)) / m
+            g2 = -(r * u2 + du(xm + half * vm)) / m
+            u3 = vp + half * f2
+            w3 = vm + half * g2
+            f3 = -(r * w3 + du(xp + half * u2)) / m
+            g3 = -(r * u3 + du(xm + half * w2)) / m
+            u4 = vp + dt * f3
+            w4 = vm + dt * g3
+            f4 = -(r * w4 + du(xp + dt * u3)) / m
+            g4 = -(r * u4 + du(xm + dt * w3)) / m
+            xp, xm, vp, vm = (
+                xp + sixth * (vp + 2.0 * (u2 + u3) + u4),
+                xm + sixth * (vm + 2.0 * (w2 + w3) + w4),
+                vp + sixth * (f1 + 2.0 * (f2 + f3) + f4),
+                vm + sixth * (g1 + 2.0 * (g2 + g3) + g4),
+            )
+            push((xp, xm, vp, vm))
+        out[lo:hi, 1:] = rows
+        # a non-finite coordinate stays non-finite, so the block's last row
+        # tells whether any row of the block failed
+        if not (isfinite(xp) and isfinite(xm) and isfinite(vp) and isfinite(vm)):
+            step = lo + int(np.argmin(np.isfinite(out[lo:hi, 1:]).all(axis=1)))
+            raise DivergenceError(step=step, t=t0 + step * dt)
     return out
+
+
+def integrate_array(
+    initial: TwoCoordState,
+    params: DissipativeParams,
+    dt: float,
+    steps: int,
+) -> np.ndarray:
+    """Fixed-step RK4 integration of the doubled equations of motion.
+
+    Returns the trajectory as an (steps + 1, 5) array with columns t, x+,
+    x-, v+, v-, the initial state first; row k is at t0 + k * dt.  dt *
+    gamma < 0.1 is the recommended operating range; at dt * gamma >= 1 a
+    RuntimeWarning is emitted because fixed-step RK4 is no longer
+    trustworthy there.  Raises DivergenceError (with the failing step
+    index) if the state stops being finite.
+    """
+    return _integrate(initial, params, dt, steps, stacklevel=2)
+
+
+def integrate_trajectory(
+    initial: TwoCoordState,
+    params: DissipativeParams,
+    dt: float,
+    steps: int,
+) -> list[TwoCoordState]:
+    """integrate_array's trajectory as steps + 1 TwoCoordState objects."""
+    arr = _integrate(initial, params, dt, steps, stacklevel=2)
+    return [TwoCoordState(xp, xm, vp, vm, t) for t, xp, xm, vp, vm in arr.tolist()]
 
 
 def trajectory_to_array(states: list[TwoCoordState]) -> np.ndarray:
@@ -263,21 +322,50 @@ def trajectory_to_array(states: list[TwoCoordState]) -> np.ndarray:
     return np.array([[s.t, s.x_plus, s.x_minus, s.v_plus, s.v_minus] for s in states])
 
 
-def hamiltonian_value(state: TwoCoordState, params: DissipativeParams) -> float:
-    """Conserved generator (M/2)(v+^2 - v-^2) + U(x+) - U(x-)."""
+def _state_fields(state):
+    """(x+, x-, v+, v-) of a TwoCoordState, or the columns of an (N, 5) trajectory."""
+    if isinstance(state, TwoCoordState):
+        return state.x_plus, state.x_minus, state.v_plus, state.v_minus
+    arr = np.asarray(state, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 5:
+        raise ValueError(f"a trajectory must be an (N, 5) array, got shape {arr.shape}")
+    return arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4]
+
+
+def _square(v):
+    """v ** 2 by the float power of Python, element by element for arrays.
+
+    That power calls the C library pow, which rounds a few squares in a
+    thousand differently from v * v (np.square); going through it keeps the
+    array form equal, bit for bit, to the value of a single state.
+    """
+    if isinstance(v, np.ndarray):
+        return np.array([x ** 2 for x in v.tolist()])
+    return v ** 2
+
+
+def hamiltonian_value(state, params: DissipativeParams):
+    """Conserved generator (M/2)(v+^2 - v-^2) + U(x+) - U(x-).
+
+    state is a TwoCoordState (a float comes back) or an (N, 5) trajectory
+    array (one value per row).
+    """
+    xp, xm, vp, vm = _state_fields(state)
     u = params.potential.value
-    kinetic = 0.5 * params.M * (state.v_plus ** 2 - state.v_minus ** 2)
-    return kinetic + u(state.x_plus) - u(state.x_minus)
+    kinetic = 0.5 * params.M * (_square(vp) - _square(vm))
+    return kinetic + u(xp) - u(xm)
 
 
-def canonical_momenta(state: TwoCoordState, params: DissipativeParams) -> tuple[float, float]:
+def canonical_momenta(state, params: DissipativeParams):
     """Momenta conjugate to (x_plus, x_minus): p_pm = pm(M v_pm + R x_mp / 2).
 
     With these, H = (1/2M)[(p+ - R x-/2)^2 - (p- + R x+/2)^2] + U(x+) - U(x-)
-    coincides with the velocity form used by hamiltonian_value.
+    coincides with the velocity form used by hamiltonian_value.  state is a
+    TwoCoordState or an (N, 5) trajectory array.
     """
-    p_plus = params.M * state.v_plus + 0.5 * params.R * state.x_minus
-    p_minus = -(params.M * state.v_minus + 0.5 * params.R * state.x_plus)
+    xp, xm, vp, vm = _state_fields(state)
+    p_plus = params.M * vp + 0.5 * params.R * xm
+    p_minus = -(params.M * vm + 0.5 * params.R * xp)
     return p_plus, p_minus
 
 
@@ -295,21 +383,23 @@ class CanonicalCoords:
         return (self.xi_plus, self.xi_minus)
 
 
-def canonical_coords(state: TwoCoordState, params: DissipativeParams) -> CanonicalCoords:
+def canonical_coords(state, params: DissipativeParams) -> CanonicalCoords:
     """Map (x_pm, v_pm) to (xi_pm, X_pm); requires dissipation.
 
     xi_plus = -M v_minus / R, xi_minus = +M v_plus / R, X_pm = x_pm - xi_pm.
-    Under pure friction the X's are constants of motion.
+    Under pure friction the X's are constants of motion.  For an (N, 5)
+    trajectory array each field is a column of N values.
     """
     if params.R == 0:
         raise ValueError("canonical coordinates are undefined without dissipation (R = 0)")
-    xi_plus = -params.M * state.v_minus / params.R
-    xi_minus = params.M * state.v_plus / params.R
+    xp, xm, vp, vm = _state_fields(state)
+    xi_plus = -params.M * vm / params.R
+    xi_minus = params.M * vp / params.R
     return CanonicalCoords(
         xi_plus=xi_plus,
         xi_minus=xi_minus,
-        X_plus=state.x_plus - xi_plus,
-        X_minus=state.x_minus - xi_minus,
+        X_plus=xp - xi_plus,
+        X_minus=xm - xi_minus,
     )
 
 

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from ncplane import cli
 from ncplane.cli import ConfigError, _read_path_csv, main
 
 
@@ -189,6 +190,81 @@ def test_evolve_numeric_settings_are_strict(tmp_path, capsys, section, key, valu
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "coeffs, name",
+    [([0, True, "0.5"], "params.potential.coeffs[1]"), ([0, 0, "0.5"], "params.potential.coeffs[2]"),
+     ([None, 1.0], "params.potential.coeffs[0]"), ([0.0, [1.0]], "params.potential.coeffs[1]")],
+)
+def test_evolve_polynomial_coeffs_are_strict(tmp_path, capsys, coeffs, name):
+    cfg = {"schema_version": 1, "dt": 0.01, "steps": 5,
+           "params": {"M": 1.0, "R": 0.4, "potential": {"kind": "polynomial", "coeffs": coeffs}}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["evolve", "--config", str(path), "--out", str(tmp_path / "t.csv")],
+                             capsys)
+    assert code == 2
+    assert f'"{name}" must be a number' in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("coeffs", ["0,0,0.5", {"2": 0.5}, None])
+def test_evolve_polynomial_coeffs_must_be_a_list(tmp_path, capsys, coeffs):
+    potential = {"kind": "polynomial"}
+    if coeffs is not None:
+        potential["coeffs"] = coeffs
+    cfg = {"schema_version": 1, "dt": 0.01, "steps": 5,
+           "params": {"M": 1.0, "R": 0.4, "potential": potential}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["evolve", "--config", str(path), "--out", str(tmp_path / "t.csv")],
+                             capsys)
+    assert code == 2
+    assert '"coeffs" list' in err
+    assert out == ""
+
+
+def test_evolve_csv_blocks_match_per_value_format(tmp_path, monkeypatch):
+    # "%.17g" % x against format(x, ".17g"), across block edges and odd values
+    values = [0.0, -0.0, 1.0, -1.5, 0.1, 1e-300, 5e-324, -2.2250738585072014e-308,
+              1.7976931348623157e308, np.inf, -np.inf, np.nan, 123456789.123456789, 2.0 ** 60]
+    table = np.array(values * 3).reshape(-1, 6)
+    want = "a,b,c,d,e,f\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n" for row in table
+    )
+    for block in (1, 2, 3, 4096):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        out = tmp_path / f"t{block}.csv"
+        cli._emit_csv("a,b,c,d,e,f", table, str(out))
+        assert out.read_text() == want
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    # the parser is built once per process; no parsed value may leak into a later call
+    assert cli.build_parser() is cli.build_parser()
+    evolve = ["evolve", "--M", "1.0", "--dt", "0.01", "--steps", "3"]
+    code, out, _ = run_cli([*evolve, "--R", "0.5", "--canonical", "--potential", "harmonic",
+                            "--k", "2.0", "--v-plus", "0.3", "--out", str(tmp_path / "a.csv")],
+                           capsys)
+    assert code == 0
+    assert "xi_plus" in (tmp_path / "a.csv").read_text()
+    # no --canonical, --potential or --v-plus now: R = 0 is legal and the run is free
+    code, out, err = run_cli([*evolve, "--R", "0", "--out", str(tmp_path / "b.csv")], capsys)
+    assert code == 0, err
+    rows = (tmp_path / "b.csv").read_text().splitlines()
+    assert rows[0] == "t,x_plus,x_minus,v_plus,v_minus,hamiltonian"
+    assert rows[-1] == "0.029999999999999999,0,0,0,0,0"
+    code, out, _ = run_cli(["spectrum", "--kind", "landau", "--omega-c", "2.0", "--n-max", "1",
+                            "--format", "json", "--hbar", "0.5"], capsys)
+    assert json.loads(out) == {"kind": "landau", "values": [0.5, 1.5]}
+    code, out, _ = run_cli(["spectrum", "--kind", "distance", "--L", "1.0", "--dim", "2"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "n,value"  # csv again, hbar back to 1
+    assert [float(r.split(",")[1]) for r in out.splitlines()[1:]] == pytest.approx([1.0, 3.0])
+    code, _, err = run_cli(["spectrum", "--kind", "landau", "--n-max", "1"], capsys)
+    assert code == 2
+    assert "--omega-c or --B" in err
+
+
 def test_evolve_config_canonical_false_drops_columns(tmp_path, capsys):
     cfg = {"schema_version": 1, "params": {"M": 1.0, "R": 0.4}, "dt": 0.01, "steps": 5,
            "canonical": False}
@@ -350,6 +426,35 @@ def test_phase_modes_are_exclusive(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "extra, name",
+    [({"L": True}, "L"), ({"L": "0.5"}, "L"), ({"L": 0.5, "hbar": True}, "hbar"),
+     ({"L": 0.5, "hbar": "2"}, "hbar"),
+     ({"magnetic": {"B": True}}, "magnetic.B"), ({"magnetic": {"B": "1.0"}}, "magnetic.B"),
+     ({"magnetic": {"B": 1.0, "e": "1"}}, "magnetic.e"),
+     ({"magnetic": {"B": 1.0, "c": False}}, "magnetic.c"),
+     ({"magnetic": {"B": 1.0, "M": [1.0]}}, "magnetic.M"),
+     ({"magnetic": {"B": 1.0, "hbar": "0.5"}}, "magnetic.hbar")],
+)
+def test_phase_numeric_settings_are_strict(tmp_path, capsys, extra, name):
+    cfg = {"schema_version": 1, "loop": [[0, 0], [1, 0], [1, 1]], **extra}
+    path = tmp_path / "phase.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["phase", "--config", str(path)], capsys)
+    assert code == 2
+    assert f'"{name}" must be a number' in err
+    assert out == ""
+
+
+def test_phase_config_numbers_still_accept_integers(tmp_path, capsys):
+    path = tmp_path / "phase.json"
+    path.write_text(json.dumps({"schema_version": 1, "loop": [[0, 0], [1, 0], [1, 1]],
+                                "L": 1, "hbar": 2}))
+    code, out, _ = run_cli(["phase", "--config", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["phase_area"] == pytest.approx(0.5)
+
+
 def test_algebra_magnetic_json(capsys):
     code, out, _ = run_cli(["algebra", "--kind", "magnetic", "--dim", "4", "--B", "1.0"], capsys)
     assert code == 0
@@ -436,6 +541,38 @@ def test_vortex_scatter_seed_must_be_an_integer(tmp_path, capsys, seed):
     assert code == 2
     assert '"scatter.seed" must be an integer' in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "scatter, scene_density, name",
+    [({"density": True}, None, "scatter.density"), ({"density": "2.0"}, None, "scatter.density"),
+     ({}, "2.0", "scene.density"), ({"density": 1.0, "region": [0, 0, "2", 2]}, None,
+                                    "scatter.region[2]"),
+     ({"density": 1.0, "region": [0, False, 2, 2]}, None, "scatter.region[1]")],
+)
+def test_vortex_scatter_numbers_are_strict(tmp_path, capsys, scatter, scene_density, name):
+    scene = {"core_loop": [[0, 0], [1, 0], [1, 1]], "sigma": 1}
+    if scene_density is not None:
+        scene["density"] = scene_density
+    cfg = {"schema_version": 1, "scene": scene,
+           "scatter": {"region": [0, 0, 2, 2], "seed": 3, **scatter}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["vortex", "--config", str(path)], capsys)
+    assert code == 2
+    assert f'"{name}" must be a number' in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("core, name", [(["0.5", 0.5], "core[0]"), ([0.5, True], "core[1]")])
+def test_vortex_config_core_is_strict(tmp_path, capsys, core, name):
+    cfg = {"schema_version": 1, "core": core,
+           "scene": {"core_loop": [[0, 0], [1, 0], [1, 1]], "atoms": [[0.7, 0.2]], "sigma": 1}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["vortex", "--config", str(path)], capsys)
+    assert code == 2
+    assert f'"{name}" must be a number' in err
 
 
 def test_vortex_scatter_equals_explicit_atoms(tmp_path, capsys):

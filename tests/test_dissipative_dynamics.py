@@ -1,10 +1,20 @@
 """Doubled-coordinate dynamics: integrator, canonical structure, hyperbolic flow,
-transmission, and density-matrix frequency extraction."""
+transmission, and density-matrix frequency extraction.
 
+For the free and harmonic potentials the doubled system is linear, so its
+exact propagator expm(A t) is the oracle for the RK4 trajectory array.
+"""
+
+import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ncplane import dissipative_dynamics
 
 from ncplane import (
     CanonicalCoords,
@@ -20,6 +30,7 @@ from ncplane import (
     friction_hamiltonian,
     hamiltonian_value,
     hyperbolic_evolve,
+    integrate_array,
     integrate_trajectory,
     kappa_commutator_check,
     orbit_invariant,
@@ -355,3 +366,148 @@ def test_bohr_frequencies_needs_enough_samples():
     rhos = sample_coherences(np.array([0.0, 1.0]), 32, 0.1)
     with pytest.raises(ValueError, match="64"):
         bohr_frequencies(rhos, 0.1)
+
+
+# ------------------------------------------------------- trajectory arrays
+
+
+def linear_generator(m, r, k):
+    """A with d/dt (x+, x-, v+, v-) = A (x+, x-, v+, v-) for U = k x^2 / 2."""
+    return np.array([
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [-k / m, 0.0, 0.0, -r / m],
+        [0.0, -k / m, -r / m, 0.0],
+    ])
+
+
+unit = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@settings(deadline=None, max_examples=60)
+@given(m=st.floats(0.2, 5.0), r=st.floats(0.0, 2.0), k=st.floats(0.0, 4.0),
+       h=st.floats(1e-4, 1e-2), steps=st.integers(1, 1500),
+       state=st.tuples(unit, unit, unit, unit), t0=st.floats(-10.0, 10.0))
+def test_rk4_array_agrees_with_exact_propagator(m, r, k, h, steps, state, t0):
+    # dt is a fixed fraction h of the fastest rate, as in the acceptance runs
+    rate = r / m + math.sqrt(k / m)
+    dt = h / max(rate, 1.0)
+    potential = Potential.harmonic(k) if k > 0 else Potential.free()
+    params = DissipativeParams(M=m, R=r, potential=potential)
+    traj = integrate_array(TwoCoordState(*state, t=t0), params, dt, steps)
+    assert traj.shape == (steps + 1, 5)
+    assert traj[0, 0] == t0
+    np.testing.assert_array_equal(traj[1:, 0], t0 + np.arange(1, steps + 1) * dt)
+    gen = linear_generator(m, r, k)
+    rows = np.unique(np.linspace(0, steps, 9).astype(int))
+    exact = np.array([scipy.linalg.expm(gen * (n * dt)) @ np.array(state) for n in rows])
+    scale = max(1.0, float(np.abs(exact).max()))
+    assert np.abs(traj[rows, 1:] - exact).max() <= 1e-6 * scale
+
+
+def test_rk4_array_on_the_acceptance_free_run():
+    # the free run of acceptance criterion 6, now against expm instead of the boost
+    params = DissipativeParams(M=1.0, R=0.5)
+    dt = 1e-3 / params.gamma
+    state = (0.3, -0.2, 0.9, 0.4)
+    traj = integrate_array(TwoCoordState(*state), params, dt, 3000)
+    gen = linear_generator(1.0, 0.5, 0.0)
+    exact = np.array([scipy.linalg.expm(gen * t) @ np.array(state) for t in traj[::100, 0]])
+    assert np.abs(traj[::100, 1:] - exact).max() < 1e-6
+
+
+def rk4_reference(state, params, dt, steps):
+    """Per-step RK4 through eom_rhs, the loop integrate_array replaced: rows
+    (t, x+, x-, v+, v-) up to and including the first non-finite state."""
+    y = (state.x_plus, state.x_minus, state.v_plus, state.v_minus)
+    rows = [(state.t, *y)]
+    for step in range(1, steps + 1):
+        a = [eom_rhs(TwoCoordState(*y), params)]
+        for c in (0.5 * dt, 0.5 * dt, dt):
+            a.append(eom_rhs(TwoCoordState(*(v + c * d for v, d in zip(y, a[-1]))), params))
+        y = tuple(v + dt / 6.0 * (d1 + 2.0 * (d2 + d3) + d4) for v, d1, d2, d3, d4 in zip(y, *a))
+        rows.append((state.t + step * dt, *y))
+        if not all(math.isfinite(v) for v in y):
+            break
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("potential", [Potential.free(), Potential.harmonic(1.3),
+                                       Potential.polynomial([0.1, -0.3, 0.5, 0.05, 0.25])])
+@pytest.mark.parametrize("r", [0.0, 0.3])
+def test_rk4_array_equals_the_per_step_reference(potential, r):
+    params = DissipativeParams(M=1.1, R=r, potential=potential)
+    state = TwoCoordState(0.4, -0.25, 0.7, -0.1, t=0.5)
+    arr = integrate_array(state, params, 0.01, 300)
+    assert arr.tobytes() == rk4_reference(state, params, 0.01, 300).tobytes()
+    states = integrate_trajectory(state, params, 0.01, 300)
+    assert states[0] == state
+    np.testing.assert_array_equal(trajectory_to_array(states), arr)
+
+
+def test_array_forms_equal_the_per_state_values():
+    # bit for bit: the kinetic term squares by the float power of Python, as
+    # hamiltonian_value does for a single state
+    rng = np.random.default_rng(17)
+    traj = np.column_stack([np.zeros(20000), rng.uniform(-3.0, 3.0, (20000, 4))])
+    states = [TwoCoordState(xp, xm, vp, vm, t) for t, xp, xm, vp, vm in traj.tolist()]
+    for potential in (Potential.free(), Potential.harmonic(0.7),
+                      Potential.polynomial([0.2, 0.0, 0.5, -0.1, 0.25])):
+        params = DissipativeParams(M=1.3, R=0.45, potential=potential)
+        h = hamiltonian_value(traj, params)
+        assert h.tobytes() == np.array([hamiltonian_value(s, params) for s in states]).tobytes()
+        cc = canonical_coords(traj, params)
+        for name in ("xi_plus", "xi_minus", "X_plus", "X_minus"):
+            want = np.array([getattr(canonical_coords(s, params), name) for s in states])
+            assert getattr(cc, name).tobytes() == want.tobytes(), name
+        pp, pm = canonical_momenta(traj, params)
+        want = np.array([canonical_momenta(s, params) for s in states])
+        assert np.column_stack((pp, pm)).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match=r"\(N, 5\)"):
+        hamiltonian_value(traj[:, :4], params)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 4096])
+def test_divergence_step_does_not_depend_on_the_block(monkeypatch, block):
+    params = DissipativeParams(
+        M=1.0, R=0.5, potential=Potential.polynomial([0.0, 0.0, 0.0, 0.0, -1.0])
+    )
+    state = TwoCoordState(1.0, 1.0, 2.0, 2.0, t=0.25)
+    monkeypatch.setattr(dissipative_dynamics, "_BLOCK_STEPS", block)
+    with pytest.raises(DivergenceError) as exc_info:
+        integrate_array(state, params, 0.5, 2000)
+    step = len(rk4_reference(state, params, 0.5, 2000)) - 1  # the first non-finite step
+    assert exc_info.value.step == step
+    assert exc_info.value.t == 0.25 + step * 0.5
+
+
+def test_integrate_array_validates_like_the_list_form():
+    params = DissipativeParams(M=1.0, R=2.0)
+    state = TwoCoordState(0.0, 0.0, 1.0, 1.0)
+    with pytest.warns(RuntimeWarning, match="dt"):
+        integrate_array(state, params, 0.5, 2)
+    for dt, steps in ((0.0, 2), (float("nan"), 2), (0.01, 0), (0.01, 2.0)):
+        with pytest.raises(ValueError):
+            integrate_array(state, params, dt, steps)
+    with pytest.raises(ValueError, match="non-finite"):
+        integrate_array(TwoCoordState(0.0, float("inf"), 0.0, 0.0), params, 0.01, 2)
+
+
+# ------------------------------------------------------- paper identities
+
+
+@settings(deadline=None)
+@given(omega=st.floats(-1e3, 1e3), gamma=st.floats(1e-3, 1e3))
+def test_transmission_is_symmetric_about_one_half(omega, gamma):
+    total = transmission_coefficient(omega, gamma) + transmission_coefficient(-omega, gamma)
+    assert abs(total - 1.0) <= 1e-15
+
+
+@settings(deadline=None)
+@given(xi=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+       gamma=st.floats(0.0, 5.0), t=st.floats(-5.0, 5.0))
+def test_boost_conserves_the_minkowski_form(xi, gamma, t):
+    out = hyperbolic_evolve(xi, gamma, t)
+    # the form is a difference of squares: its roundoff is relative to the squares
+    size = max(float(np.abs(out).max()), max(abs(v) for v in xi), 1e-300) ** 2
+    assert abs(orbit_invariant(out) - orbit_invariant(xi)) <= 16 * np.finfo(float).eps * size
