@@ -267,9 +267,9 @@ def run_spectrum(args) -> int:
 
 # ------------------------------------------------------------------- evolve
 
-def _evolve_summary(traj, params, h, xi, inv, dt: float) -> dict:
-    """Run summary from the trajectory's columns; xi and inv are None
-    without canonical columns."""
+def _evolve_summary(traj, params, h, xi, dt: float) -> dict:
+    """Run summary from the trajectory's columns; xi is None without
+    canonical columns."""
     steps = len(traj) - 1
     summary = {
         "dt": dt,
@@ -278,6 +278,7 @@ def _evolve_summary(traj, params, h, xi, inv, dt: float) -> dict:
         "max_hamiltonian_drift": float(np.abs(h - h[0]).max()) / max(1.0, abs(float(h[0]))),
     }
     if xi is not None:
+        inv = orbit_invariant(xi)
         inv0 = float(inv[0])
         summary["max_orbit_invariant_drift"] = (
             float(np.abs(inv - inv0).max()) / max(1.0, abs(inv0))
@@ -352,16 +353,15 @@ def run_evolve(args) -> int:
 
     traj = integrate_array(initial, params, dt, steps)
     h = hamiltonian_value(traj, params)
-    xi = inv = None
+    xi = None
     if want_canonical:
         cc = canonical_coords(traj, params)
         xi = np.column_stack(cc.xi)
-        inv = orbit_invariant(xi)
-        columns = (traj, xi, cc.X_plus, cc.X_minus, h, inv)
+        columns = (traj, xi, cc.X_plus, cc.X_minus, h, orbit_invariant(xi))
     else:
         columns = (traj, h)
     _emit_csv(EVOLVE_HEADER[want_canonical], np.column_stack(columns), out)
-    summary = _evolve_summary(traj, params, h, xi, inv, dt)
+    summary = _evolve_summary(traj, params, h, xi, dt)
     sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
     return EXIT_OK
 
