@@ -38,9 +38,22 @@ their CSV is held by its sha256, their stdout in full.
 * `spectrum`, the film commands and `evolve`: the output file (and for
   `evolve` also stdout) must match byte for byte.
 
+The config goldens (tests/golden/config.json) were recorded from the
+implementation that read every setting through its own chain of lookups
+and type checks.  They drive `phase`, `vortex` and `evolve` from config
+files: inline `loop`, `loop_csv`, `path1_csv`/`path2_csv`, inline `scene`
+and `scene_json` (each also against a flag or a lower-ranked key), a
+`magnetic` object, `"ab"`, `L` and `hbar`, a list `core`, an `"out"` key,
+flags over config keys, and the `--potential` flags over a config
+potential.  Each config is written at run time, with input file names
+relative to tests/golden/film/ marked "@" and files in the run's
+temporary directory marked "$"; stdout and the output file must match
+byte for byte.
+
 To record goldens again from a reference checkout (all groups by default):
 
-    PYTHONPATH=src python tests/test_golden.py [algebra] [spectrum] [film] [evolve] [landau]
+    PYTHONPATH=src python tests/test_golden.py [algebra] [spectrum] [film] [evolve] [landau] \
+        [config]
 """
 
 import contextlib
@@ -61,6 +74,7 @@ FILM_INPUTS = GOLDEN / "film"
 EVOLVE_FILE = GOLDEN / "evolve.json"
 EVOLVE_INPUTS = GOLDEN / "evolve"
 LANDAU_FILE = GOLDEN / "landau.json"
+CONFIG_FILE = GOLDEN / "config.json"
 
 ALGEBRA_PARAMS = {
     "magnetic": {
@@ -175,6 +189,72 @@ LANDAU_CASES = {
     for fmt in ("csv", "json")
 }
 
+# config cases: (command, config, extra argv); "@name" is a file under
+# FILM_INPUTS, "$name" a file in the run's temporary directory, and the
+# output is "$out" (added as --out unless the config or the argv names it)
+_SCENE = {"core_loop": [[0, 0], [2, 0], [2.5, 1.5], [1, 2.25], [-0.5, 1]],
+          "atoms": [[0.5, 0.5], [1, 1], [2, 1.75], [3, 3], [-0.25, 0.9], [2, 0]],
+          "sigma": -1, "density": 0.75}
+_LOOP = [[0, 0], [1.5, 0], [1.25, 0.875], [0.125, 1.3]]
+_EVOLVE = {"params": {"M": 1.1, "R": 0.3, "hbar": 0.9,
+                      "potential": {"kind": "polynomial", "coeffs": [0, 0.1, 0.5, 0, 0.2]}},
+           "initial": {"x_plus": 0.4, "x_minus": -0.25, "v_plus": 0.3, "v_minus": 0.6,
+                       "t": 0.5},
+           "dt": 0.01, "steps": 40, "canonical": True}
+CONFIG_CASES = {
+    "phase-loop": ("phase", {"loop": _LOOP, "L": 0.8, "hbar": 1.3}, []),
+    "phase-loop-integers": ("phase", {"loop": [[0, 0], [2, 0], [2, 1], [0, 3]], "L": 1,
+                                      "hbar": 2}, []),
+    "phase-loop-csv": ("phase", {"loop_csv": "@loop_header.csv", "L": 0.7}, []),
+    "phase-loop-csv-over-loop": ("phase", {"loop_csv": "@loop_plain.csv", "loop": _LOOP,
+                                           "L": 0.9}, []),
+    "phase-loop-flag-over-keys": ("phase", {"loop_csv": "@loop_plain.csv", "loop": _LOOP,
+                                            "L": 0.9, "hbar": 3.0},
+                                  ["--loop", "@loop_index.csv", "--L", "1.1", "--hbar", "0.5"]),
+    "phase-loop-ab-false": ("phase", {"loop": _LOOP, "ab": False, "L": 0.6}, []),
+    "phase-paths": ("phase", {"path1_csv": "@path1.csv", "path2_csv": "@path2.csv",
+                              "hbar": 0.8}, []),
+    "phase-paths-flag-over-key": ("phase", {"path1_csv": "@path2.csv", "path2_csv": "@path2.csv"},
+                                  ["--path1", "@path1.csv"]),
+    "phase-scene": ("phase", {"scene": _SCENE}, []),
+    "phase-scene-json": ("phase", {"scene_json": "@scene_cw.json"}, []),
+    "phase-scene-json-over-scene": ("phase", {"scene_json": "@scene_double.json",
+                                              "scene": _SCENE}, []),
+    "phase-scene-flag-over-keys": ("phase", {"scene_json": "@scene_double.json",
+                                             "scene": _SCENE}, ["--scene", "@scene_cw.json"]),
+    "phase-magnetic": ("phase", {"loop_csv": "@loop_header.csv",
+                                 "magnetic": {"B": 1.7, "e": 1.3, "c": 2.0, "M": 0.8,
+                                              "hbar": 0.9}}, []),
+    "phase-magnetic-flags": ("phase", {"loop": _LOOP, "hbar": 4.0,
+                                       "magnetic": {"B": 1.7, "e": 1.3, "hbar": 0.9}},
+                             ["--B", "2.25", "--mass", "0.6", "--hbar", "0.4"]),
+    "phase-ab": ("phase", {"loop": _LOOP, "ab": True, "magnetic": {"B": 2}}, []),
+    "phase-ab-flag-field": ("phase", {"loop_csv": "@loop_index.csv", "ab": True},
+                            ["--B", "0.6", "--charge", "1.3", "--light-speed", "2.0"]),
+    "phase-out-key": ("phase", {"loop": _LOOP, "L": 0.5, "out": "$out"}, []),
+    "vortex-scene": ("vortex", {"scene": _SCENE}, []),
+    "vortex-scene-core": ("vortex", {"scene": _SCENE, "core": [0.9, 0.8]}, []),
+    "vortex-scene-core-integers": ("vortex", {"scene": _SCENE, "core": [1, 1]}, []),
+    "vortex-scene-core-flag": ("vortex", {"scene": _SCENE, "core": [0.9, 0.8]}, ["--core=5,5"]),
+    "vortex-scene-json": ("vortex", {"scene_json": "@scene_cw.json"}, []),
+    "vortex-scene-json-core": ("vortex", {"scene_json": "@scene_double.json", "core": [0, 0]},
+                               []),
+    "vortex-scene-json-over-scene": ("vortex", {"scene_json": "@scene_cw.json",
+                                                "scene": _SCENE, "core": [-0.3, 0.45]}, []),
+    "vortex-scene-flag-over-keys": ("vortex", {"scene_json": "@scene_cw.json", "scene": _SCENE},
+                                    ["--scene", "@scene_double.json", "--core=1.45,1.45"]),
+    "vortex-out-key": ("vortex", {"scene": _SCENE, "core": [0.9, 0.8], "out": "$out"}, []),
+    "evolve-out-key": ("evolve", {**_EVOLVE, "out": "$out"}, []),
+    "evolve-flags-over-keys": ("evolve", {**_EVOLVE, "out": "$stale"},
+                               ["--M", "1.3", "--R", "0.35", "--hbar", "0.7", "--x-plus", "0.2",
+                                "--v-minus", "-0.1", "--dt", "0.02", "--steps", "25",
+                                "--out", "$out"]),
+    "evolve-potential-free": ("evolve", _EVOLVE, ["--potential", "free"]),
+    "evolve-potential-harmonic": ("evolve", _EVOLVE, ["--potential", "harmonic", "--k", "1.7"]),
+    "evolve-potential-polynomial": ("evolve", {**_EVOLVE, "canonical": False},
+                                    ["--potential", "polynomial", "--coeffs", "0,0,0.4,-0.05,0.3"]),
+}
+
 
 def _inputs_argv(argv, base: Path) -> list:
     return [str(base / a[1:]) if a.startswith("@") else a for a in argv]
@@ -196,6 +276,32 @@ def _run_evolve(argv, out_path) -> tuple[str, bytes]:
     with contextlib.redirect_stdout(stdout):
         _run(_inputs_argv(argv, EVOLVE_INPUTS), out_path)
     return stdout.getvalue(), Path(out_path).read_bytes()
+
+
+def _config_value(value, tmp_dir: Path):
+    """A config value with "@" and "$" file names resolved, recursively."""
+    if isinstance(value, dict):
+        return {k: _config_value(v, tmp_dir) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_config_value(v, tmp_dir) for v in value]
+    if isinstance(value, str) and value[:1] in "@$":
+        return str((FILM_INPUTS if value[0] == "@" else tmp_dir) / value[1:])
+    return value
+
+
+def _run_config(case, tmp_dir: Path) -> dict:
+    """stdout and output bytes of one config case."""
+    command, cfg, extra = case
+    path = tmp_dir / "config.json"
+    path.write_text(json.dumps({"schema_version": 1, **_config_value(cfg, tmp_dir)}))
+    argv = [command, "--config", str(path), *_config_value(extra, tmp_dir)]
+    if "out" not in cfg and "$out" not in extra:
+        argv += ["--out", str(tmp_dir / "out")]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    assert code == 0, f"{argv} exited with {code}"
+    return {"stdout": stdout.getvalue(), "out": (tmp_dir / "out").read_text()}
 
 
 def _golden_algebra() -> dict:
@@ -253,6 +359,12 @@ def test_landau_spectrum_matches_golden_bytes(name, tmp_path):
     assert out.read_bytes() == want.encode()
 
 
+@pytest.mark.parametrize("name", sorted(CONFIG_CASES))
+def test_config_matches_golden_bytes(name, tmp_path):
+    want = json.loads(CONFIG_FILE.read_text())[name]
+    assert _run_config(CONFIG_CASES[name], tmp_path) == want
+
+
 def record(tmp_dir: Path, groups) -> None:
     """Write the goldens of the given groups from the ncplane on sys.path."""
     GOLDEN.mkdir(exist_ok=True)
@@ -280,6 +392,12 @@ def record(tmp_dir: Path, groups) -> None:
     if "landau" in groups:
         landau = {name: _run(argv, tmp_dir / name) for name, argv in LANDAU_CASES.items()}
         LANDAU_FILE.write_text(json.dumps(landau, indent=1, sort_keys=True) + "\n")
+    if "config" in groups:
+        config = {}
+        for name, case in CONFIG_CASES.items():
+            (tmp_dir / "out").unlink(missing_ok=True)
+            config[name] = _run_config(case, tmp_dir)
+        CONFIG_FILE.write_text(json.dumps(config, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
@@ -287,4 +405,5 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        record(Path(tmp), sys.argv[1:] or ("algebra", "spectrum", "film", "evolve", "landau"))
+        record(Path(tmp), sys.argv[1:] or ("algebra", "spectrum", "film", "evolve", "landau",
+                                           "config"))
