@@ -6,17 +6,21 @@ CSV output carries 17 significant digits per value.  JSON config files
 must carry "schema_version": 1; identical configs produce byte-identical
 output (statistical vortex scenes require an explicit scatter seed).
 
-Config/flag cheat sheet (flags override config keys):
+Config/flag cheat sheet (flags override config keys; README.md lists every
+key with its JSON type and default, and a value of another type is an error
+that names its key):
 
   spectrum  --kind distance --L 1.0 --dim 4
   spectrum  --kind landau --hbar 1.0 --omega-c 1.0 --n-max 2
-  evolve    --config run.json            # params/initial/dt/steps[/canonical]
-  phase     --loop loop.csv --L 0.5      # area + action routes
-  phase     --path1 a.csv --path2 b.csv  # action route only
-  phase     --loop loop.csv --ab --B 1.0 # flux route + area route
-  phase     --scene scene.json           # vortex winding route
+  evolve    --config run.json  # params{M,R,hbar,potential}/initial/dt/steps/canonical/out
+  phase     --loop loop.csv --L 0.5      # area + action routes (loop_csv, loop, L, hbar)
+  phase     --path1 a.csv --path2 b.csv  # action route only (path1_csv, path2_csv)
+  phase     --loop loop.csv --ab --B 1.0 # flux route + area route (ab, magnetic{B,e,c,M,hbar})
+  phase     --scene scene.json           # vortex winding route (scene_json, scene)
   algebra   --kind magnetic --dim 6 --B 2.0
-  vortex    --scene scene.json --core 0.2,0.3
+  vortex    --scene scene.json --core 0.2,0.3  # (scene_json, scene, core, scatter)
+
+A scene or loop comes from its flag, else its file key, else its inline key.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import sys
 import warnings
@@ -189,47 +194,106 @@ def _scan_path_csv(path: str, skip: int) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _pick(flag, cfg: dict, key: str, default=None):
-    if flag is not None:
-        return flag
-    if key in cfg and cfg[key] is not None:
-        return cfg[key]
-    return default
+_NUMBER_TYPES = {int, float}
+# kind: (what a config value of that kind must be, its exact JSON types or,
+# for a list kind, the kind of its items)
+_KINDS = {
+    "number": ("a number", _NUMBER_TYPES),
+    "integer": ("an integer", {int}),
+    "boolean": ("true or false", {bool}),
+    "path": ("a path string", {str}),
+    "object": ("an object", {dict}),
+    "numbers": ("a list of numbers", "number"),
+    "pair": ("an [x, y] pair of numbers", "number"),
+    "vertices": ("a list of [x, y] pairs of numbers", "pair"),
+}
+_REQUIRED = object()
 
 
-def _require(value, what: str):
+def _fits(value, kind: str) -> bool:
+    """Whether a JSON value is of the kind; lists are tested by the set of
+    their item types, which keeps a 2e4-vertex list cheap to check."""
+    spec = _KINDS[kind][1]
+    if not isinstance(spec, str):
+        return type(value) in spec
+    if type(value) is not list or (kind == "pair" and len(value) != 2):
+        return False
+    if spec == "pair":
+        return (set(map(type, value)) <= {list} and set(map(len, value)) <= {2}
+                and set(map(type, itertools.chain.from_iterable(value))) <= _NUMBER_TYPES)
+    return set(map(type, value)) <= _NUMBER_TYPES
+
+
+def _mismatch(value, name: str, kind: str) -> ConfigError:
+    """The error for a value not of the kind, naming its first bad list item."""
+    what, spec = _KINDS[kind]
+    if isinstance(spec, str) and type(value) is list and (kind != "pair" or len(value) == 2):
+        for i, item in enumerate(value):
+            if not _fits(item, spec):
+                return _mismatch(item, f"{name}[{i}]", spec)
+    return ConfigError(f"setting \"{name}\" must be {what}, got {value!r}")
+
+
+def _setting(flag, node: dict, key: str, name: str, kind: str, default=_REQUIRED):
+    """One CLI setting: the flag when given, else node[key], else default.
+
+    A null config value counts as absent, but is of the wrong kind for a
+    required setting (no default).  Flags arrive typed from argparse and
+    are checked like config values; errors name the setting by name.
+    Numbers come back as floats, lists as float arrays.
+    """
+    value = node.get(key) if flag is None else flag
     if value is None:
-        raise ConfigError(f"missing required setting: {what}")
-    return value
+        if default is not _REQUIRED:
+            return default
+        if key not in node:
+            raise ConfigError(f"missing required setting: {name}")
+    if not _fits(value, kind):
+        raise _mismatch(value, name, kind)
+    if kind == "number":
+        return float(value)
+    return np.asarray(value, dtype=float) if type(value) is list else value
 
 
-def _number(value, key: str) -> float:
-    """A numeric setting as a float; JSON booleans and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config \"{key}\" must be a number, got {value!r}")
-    return float(value)
+def _floats(text: str) -> list[float]:
+    """argparse type of the list flags --coeffs and --core: "c0,c1,..."."""
+    try:
+        return [float(c) for c in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected numbers separated by commas, got {text!r}")
 
 
-def _potential_from(node) -> Potential:
-    if node is None:
+def _input(flag, cfg: dict, file_key: str, read, key: str, kind: str):
+    """A scene or loop: read from the file that its flag, else cfg[file_key],
+    names; else given inline as cfg[key]; else None."""
+    path = _setting(flag, cfg, file_key, file_key, "path", None)
+    if path is not None:
+        return read(path)
+    return _setting(None, cfg, key, key, kind, None)
+
+
+def _potential_from(node, kind=None, k=None, coeffs=None) -> Potential:
+    """The potential of a config "potential" node; a kind flag (with the
+    k or coeffs flag it needs) replaces the node."""
+    if kind is not None:
+        node = {}
+    elif node is None:
         return Potential.free()
-    if isinstance(node, Potential):
-        return node
-    if not isinstance(node, dict) or "kind" not in node:
+    elif not isinstance(node, dict) or "kind" not in node:
         raise ConfigError(f"potential must be an object with a \"kind\" key, got {node!r}")
-    kind = node["kind"]
+    else:
+        kind = node["kind"]
     if kind == "free":
         return Potential.free()
     if kind == "harmonic":
-        if "k" not in node:
-            raise ConfigError("harmonic potential needs a stiffness \"k\"")
-        return Potential.harmonic(_number(node["k"], "params.potential.k"))
+        return Potential.harmonic(_setting(k, node, "k", "params.potential.k", "number"))
     if kind == "polynomial":
-        coeffs = node.get("coeffs")
-        if not isinstance(coeffs, list):
-            raise ConfigError(f"polynomial potential needs a \"coeffs\" list, got {coeffs!r}")
+        if coeffs is None and type(node.get("coeffs")) is not list:
+            raise ConfigError(
+                f"polynomial potential needs a \"coeffs\" list, got {node.get('coeffs')!r}"
+            )
         return Potential.polynomial(
-            [_number(c, f"params.potential.coeffs[{i}]") for i, c in enumerate(coeffs)]
+            _setting(coeffs, node, "coeffs", "params.potential.coeffs", "numbers")
         )
     raise ConfigError(f"unknown potential kind {kind!r} (free, harmonic, polynomial)")
 
@@ -238,12 +302,10 @@ def _potential_from(node) -> Potential:
 
 def run_spectrum(args) -> int:
     if args.kind == "distance":
-        length = _require(args.L, "--L (length scale)")
-        dim = _require(args.dim, "--dim")
-        params = NcParams(L=length, hbar=args.hbar)
-        values = distance_spectrum(params, dim)
+        params = NcParams(L=_setting(args.L, {}, "L", "--L", "number"), hbar=args.hbar)
+        values = distance_spectrum(params, _setting(args.dim, {}, "dim", "--dim", "integer"))
     else:
-        n_max = _require(args.n_max, "--n-max")
+        n_max = _setting(args.n_max, {}, "n_max", "--n-max", "integer")
         if args.omega_c is not None and args.B is not None:
             raise ConfigError("give either --omega-c or --B, not both")
         if args.omega_c is not None:
@@ -306,50 +368,28 @@ def _evolve_summary(traj, params, h, xi, dt: float) -> dict:
 
 def run_evolve(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    pcfg = cfg.get("params", {})
-    if not isinstance(pcfg, dict):
-        raise ConfigError("config \"params\" must be an object")
-    m = _number(_require(_pick(args.M, pcfg, "M"), "M (mass)"), "params.M")
-    r = _number(_require(_pick(args.R, pcfg, "R"), "R (friction)"), "params.R")
-    hbar = _number(_pick(args.hbar, pcfg, "hbar", 1.0), "params.hbar")
-
-    if args.potential is not None:
-        if args.potential == "free":
-            potential = Potential.free()
-        elif args.potential == "harmonic":
-            potential = Potential.harmonic(_require(args.k, "--k (harmonic stiffness)"))
-        else:
-            coeffs = _require(args.coeffs, "--coeffs c0,c1,...")
-            try:
-                potential = Potential.polynomial([float(c) for c in coeffs.split(",")])
-            except ValueError as exc:
-                raise ConfigError(f"bad --coeffs {coeffs!r}: {exc}") from exc
-    else:
-        potential = _potential_from(pcfg.get("potential"))
-    params = DissipativeParams(M=m, R=r, hbar=hbar, potential=potential)
-
-    icfg = cfg.get("initial", {})
-    if not isinstance(icfg, dict):
-        raise ConfigError("config \"initial\" must be an object")
-    initial = TwoCoordState(
-        x_plus=_number(_pick(args.x_plus, icfg, "x_plus", 0.0), "initial.x_plus"),
-        x_minus=_number(_pick(args.x_minus, icfg, "x_minus", 0.0), "initial.x_minus"),
-        v_plus=_number(_pick(args.v_plus, icfg, "v_plus", 0.0), "initial.v_plus"),
-        v_minus=_number(_pick(args.v_minus, icfg, "v_minus", 0.0), "initial.v_minus"),
-        t=_number(_pick(None, icfg, "t", 0.0), "initial.t"),
+    pcfg = _setting(None, cfg, "params", "params", "object", {})
+    icfg = _setting(None, cfg, "initial", "initial", "object", {})
+    params = DissipativeParams(
+        M=_setting(args.M, pcfg, "M", "params.M", "number"),
+        R=_setting(args.R, pcfg, "R", "params.R", "number"),
+        hbar=_setting(args.hbar, pcfg, "hbar", "params.hbar", "number", 1.0),
+        potential=_potential_from(pcfg.get("potential"), args.potential, args.k, args.coeffs),
     )
-    dt = _number(_require(_pick(args.dt, cfg, "dt"), "dt"), "dt")
-    steps = _require(_pick(args.steps, cfg, "steps"), "steps")
-    if isinstance(steps, bool) or not isinstance(steps, int):
-        raise ConfigError(f"config \"steps\" must be an integer, got {steps!r}")
-
-    canonical = args.canonical if args.canonical is not None else cfg.get("canonical")
-    if canonical is not None and not isinstance(canonical, bool):
-        raise ConfigError(f"config \"canonical\" must be true or false, got {canonical!r}")
+    initial = TwoCoordState(
+        x_plus=_setting(args.x_plus, icfg, "x_plus", "initial.x_plus", "number", 0.0),
+        x_minus=_setting(args.x_minus, icfg, "x_minus", "initial.x_minus", "number", 0.0),
+        v_plus=_setting(args.v_plus, icfg, "v_plus", "initial.v_plus", "number", 0.0),
+        v_minus=_setting(args.v_minus, icfg, "v_minus", "initial.v_minus", "number", 0.0),
+        t=_setting(None, icfg, "t", "initial.t", "number", 0.0),
+    )
+    dt = _setting(args.dt, cfg, "dt", "dt", "number")
+    steps = _setting(args.steps, cfg, "steps", "steps", "integer")
+    canonical = _setting(args.canonical, cfg, "canonical", "canonical", "boolean", None)
     if canonical and params.R == 0:
         raise ConfigError("canonical coordinates require R > 0, but the run has R = 0")
-    want_canonical = (params.R > 0) if canonical is None else bool(canonical)
-    out = _pick(args.out, cfg, "out")
+    want_canonical = (params.R > 0) if canonical is None else canonical
+    out = _setting(args.out, cfg, "out", "out", "path", None)
 
     traj = integrate_array(initial, params, dt, steps)
     h = hamiltonian_value(traj, params)
@@ -369,31 +409,29 @@ def run_evolve(args) -> int:
 # -------------------------------------------------------------------- phase
 
 def _loop_from(args, cfg: dict):
-    if args.loop is not None:
-        return _read_path_csv(args.loop)
-    if cfg.get("loop_csv") is not None:
-        return _read_path_csv(cfg["loop_csv"])
-    if cfg.get("loop") is not None:
-        return np.asarray(cfg["loop"], dtype=float)
-    return None
+    return _input(args.loop, cfg, "loop_csv", _read_path_csv, "loop", "vertices")
+
+
+def _scene_from(args, cfg: dict) -> dict | None:
+    """The scene's checked fields (null ones left out), or None without a scene."""
+    raw = _input(args.scene, cfg, "scene_json", _load_json, "scene", "object")
+    if raw is None:
+        return None
+    if not isinstance(raw, dict):
+        raise ConfigError("scene must be a JSON object")
+    kinds = {"core_loop": "vertices", "atoms": "vertices", "sigma": "integer", "density": "number"}
+    return {key: _setting(None, raw, key, f"scene.{key}", kind)
+            for key, kind in kinds.items() if raw.get(key) is not None}
 
 
 def run_phase(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    out = _pick(args.out, cfg, "out")
-    hbar = _number(_pick(args.hbar, cfg, "hbar", 1.0), "hbar")
-
-    scene_data = None
-    if args.scene is not None:
-        scene_data = _load_json(args.scene)
-    elif cfg.get("scene_json") is not None:
-        scene_data = _load_json(cfg["scene_json"])
-    elif cfg.get("scene") is not None:
-        scene_data = cfg["scene"]
-
-    p1 = args.path1 or cfg.get("path1_csv")
-    p2 = args.path2 or cfg.get("path2_csv")
+    out = _setting(args.out, cfg, "out", "out", "path", None)
+    hbar = _setting(args.hbar, cfg, "hbar", "hbar", "number", 1.0)
+    scene_data = _scene_from(args, cfg)
     loop = _loop_from(args, cfg)
+    p1 = _setting(args.path1, cfg, "path1_csv", "path1_csv", "path", None)
+    p2 = _setting(args.path2, cfg, "path2_csv", "path2_csv", "path", None)
 
     modes = sum(x is not None for x in (scene_data, p1, loop))
     if modes == 0:
@@ -417,43 +455,28 @@ def run_phase(args) -> int:
         _emit_json({"phase_action": phase}, out)
         return EXIT_OK
 
-    use_ab = bool(args.ab or cfg.get("ab") or cfg.get("magnetic"))
-    if use_ab:
-        mcfg = cfg.get("magnetic", {})
-        if not isinstance(mcfg, dict):
-            raise ConfigError("config \"magnetic\" must be an object")
+    mcfg = _setting(None, cfg, "magnetic", "magnetic", "object", None)
+    if _setting(args.ab, cfg, "ab", "ab", "boolean", False) or mcfg:
+        mcfg = mcfg or {}
         mp = MagneticParams(
-            B=_number(_require(_pick(args.B, mcfg, "B"), "B (field strength)"), "magnetic.B"),
-            e=_number(_pick(args.charge, mcfg, "e", 1.0), "magnetic.e"),
-            c=_number(_pick(args.light_speed, mcfg, "c", 1.0), "magnetic.c"),
-            M=_number(_pick(args.mass, mcfg, "M", 1.0), "magnetic.M"),
-            hbar=_number(_pick(args.hbar, mcfg, "hbar", 1.0), "magnetic.hbar"),
+            B=_setting(args.B, mcfg, "B", "magnetic.B", "number"),
+            e=_setting(args.charge, mcfg, "e", "magnetic.e", "number", 1.0),
+            c=_setting(args.light_speed, mcfg, "c", "magnetic.c", "number", 1.0),
+            M=_setting(args.mass, mcfg, "M", "magnetic.M", "number", 1.0),
+            hbar=_setting(args.hbar, mcfg, "hbar", "magnetic.hbar", "number", 1.0),
         )
         phase_ab = aharonov_bohm_phase(mp, loop)
         area_params = NcParams(L=magnetic_length(mp), hbar=mp.hbar)
         phase_area = interference_phase_area(loop, area_params)
-        _emit_json(
-            {
-                "phase_ab": phase_ab,
-                "phase_area": phase_area,
-                "difference": phase_ab - phase_area,
-            },
-            out,
-        )
+        _emit_json({"phase_ab": phase_ab, "phase_area": phase_area,
+                    "difference": phase_ab - phase_area}, out)
         return EXIT_OK
 
-    length = _number(_require(_pick(args.L, cfg, "L"), "--L (length scale)"), "L")
-    params = NcParams(L=length, hbar=hbar)
+    params = NcParams(L=_setting(args.L, cfg, "L", "L", "number"), hbar=hbar)
     phase_area = interference_phase_area(loop, params)
     phase_action = loop_action_phase(loop, params)
-    _emit_json(
-        {
-            "phase_area": phase_area,
-            "phase_action": phase_action,
-            "difference": phase_area - phase_action,
-        },
-        out,
-    )
+    _emit_json({"phase_area": phase_area, "phase_action": phase_action,
+                "difference": phase_area - phase_action}, out)
     return EXIT_OK
 
 
@@ -464,7 +487,7 @@ def _complex_table(mat: np.ndarray) -> list:
 
 
 def run_algebra(args) -> int:
-    dim = _require(args.dim, "--dim")
+    dim = _setting(args.dim, {}, "dim", "--dim", "integer")
     if args.kind == "magnetic":
         params = MagneticParams(
             B=args.B if args.B is not None else 1.0,
@@ -495,61 +518,35 @@ def run_algebra(args) -> int:
 
 # ------------------------------------------------------------------- vortex
 
-def _parse_core(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"--core must be \"x,y\", got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"--core must be \"x,y\" with numeric parts, got {text!r}") from exc
-
-
 def run_vortex(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    out = _pick(args.out, cfg, "out")
-
-    if args.scene is not None:
-        raw = _load_json(args.scene)
-    elif cfg.get("scene_json") is not None:
-        raw = _load_json(cfg["scene_json"])
-    elif cfg.get("scene") is not None:
-        raw = cfg["scene"]
-    else:
+    out = _setting(args.out, cfg, "out", "out", "path", None)
+    fields = _scene_from(args, cfg)
+    if fields is None:
         raise ConfigError("vortex needs --scene FILE or a config with \"scene\"/\"scene_json\"")
-    if not isinstance(raw, dict):
-        raise ConfigError("scene must be a JSON object")
 
-    scatter = cfg.get("scatter")
+    scatter = _setting(None, cfg, "scatter", "scatter", "object", None)
     if scatter is not None:
-        if not isinstance(scatter, dict):
-            raise ConfigError("config \"scatter\" must be an object")
-        if np.asarray(raw.get("atoms", []), dtype=float).size:
+        if len(fields.get("atoms", ())):
             raise ConfigError("scatter and explicit scene atoms are mutually exclusive")
-        key = "scatter.density" if "density" in scatter else "scene.density"
-        density = scatter.get("density", raw.get("density"))
+        density = _setting(None, scatter, "density", "scatter.density", "number",
+                           fields.get("density"))
         if density is None:
             raise ConfigError("scatter needs a density (in scatter or scene)")
-        density = _number(density, key)
-        if "seed" not in scatter:
-            raise ConfigError("scatter needs an integer \"seed\" for reproducibility")
-        seed = scatter["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"config \"scatter.seed\" must be an integer, got {seed!r}")
-        region = scatter.get("region")
-        if not (isinstance(region, (list, tuple)) and len(region) == 4):
-            raise ConfigError("scatter needs \"region\": [x0, y0, x1, y1]")
-        x0, y0, x1, y1 = (_number(v, f"scatter.region[{i}]") for i, v in enumerate(region))
+        seed = _setting(None, scatter, "seed", "scatter.seed", "integer")
+        region = _setting(None, scatter, "region", "scatter.region", "numbers")
+        if len(region) != 4:
+            raise ConfigError(f"scatter needs \"region\": [x0, y0, x1, y1], got {region}")
+        x0, y0, x1, y1 = region
         if not (x1 > x0 and y1 > y0):
             raise ConfigError(f"degenerate scatter region {region}")
         area = (x1 - x0) * (y1 - y0)
         count = int(round(density * area))
         rng = np.random.default_rng(seed)
-        raw = dict(raw)
-        raw["atoms"] = rng.uniform((x0, y0), (x1, y1), size=(count, 2))
-        raw.setdefault("density", density)
+        fields["atoms"] = rng.uniform((x0, y0), (x1, y1), size=(count, 2))
+        fields.setdefault("density", density)
 
-    scene = scene_from_dict(raw)
+    scene = scene_from_dict(fields)
     inside = int(np.count_nonzero(points_in_polygon(scene.atoms, scene.core_loop)))
     report = {
         "sigma": scene.sigma,
@@ -559,14 +556,9 @@ def run_vortex(args) -> int:
     }
     if scene.density is not None:
         report["length_scale"] = film_length_scale(scene.density)
-    core = args.core if args.core is not None else cfg.get("core")
+    core = _setting(args.core, cfg, "core", "core", "pair", None)
     if core is not None:
-        if isinstance(core, str):
-            cx, cy = _parse_core(core)
-        else:
-            if not (isinstance(core, (list, tuple)) and len(core) == 2):
-                raise ConfigError(f"config \"core\" must be [x, y], got {core!r}")
-            cx, cy = _number(core[0], "core[0]"), _number(core[1], "core[1]")
+        cx, cy = core
         core_winding = winding_number((cx, cy), scene.core_loop)
         report["core_winding"] = core_winding
         report["circulation"] = circulation_integral((cx, cy), scene.core_loop, scene.sigma)
@@ -609,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--hbar", type=float)
     ev.add_argument("--potential", choices=("free", "harmonic", "polynomial"))
     ev.add_argument("--k", type=float, help="harmonic stiffness")
-    ev.add_argument("--coeffs", help="polynomial coefficients c0,c1,...")
+    ev.add_argument("--coeffs", type=_floats, help="polynomial coefficients c0,c1,...")
     ev.add_argument("--x-plus", dest="x_plus", type=float)
     ev.add_argument("--x-minus", dest="x_minus", type=float)
     ev.add_argument("--v-plus", dest="v_plus", type=float)
@@ -632,7 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--hbar", type=float)
     ph.add_argument("--path1", help="phase-space path CSV (action route)")
     ph.add_argument("--path2", help="phase-space path CSV (action route)")
-    ph.add_argument("--ab", action="store_true", help="flux route: use field parameters")
+    ph.add_argument("--ab", action="store_true", default=None,
+                    help="flux route: use field parameters")
     ph.add_argument("--B", type=float, help="field strength (flux route)")
     ph.add_argument("--charge", type=float)
     ph.add_argument("--light-speed", dest="light_speed", type=float)
@@ -656,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     vx = sub.add_parser("vortex", help="winding phase and circulation for a vortex scene")
     vx.add_argument("--config", help="JSON config file (schema_version 1)")
     vx.add_argument("--scene", help="scene JSON file")
-    vx.add_argument("--core", help="vortex position \"x,y\" for circulation")
+    vx.add_argument("--core", type=_floats, help="vortex position \"x,y\" for circulation")
     vx.add_argument("--out")
     vx.set_defaults(func=run_vortex)
 

@@ -332,16 +332,28 @@ def _state_fields(state):
     return arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4]
 
 
-def _square(v):
+def _square(v, name: str):
     """v ** 2 by the float power of Python, element by element for arrays.
 
     That power calls the C library pow, which rounds a few squares in a
     thousand differently from v * v (np.square); going through it keeps the
-    array form equal, bit for bit, to the value of a single state.
+    array form equal, bit for bit, to the value of a single state.  A finite
+    value whose square overflows raises ValueError naming the column (name)
+    and the row.
     """
-    if isinstance(v, np.ndarray):
-        return np.array([x ** 2 for x in v.tolist()])
-    return v ** 2
+    try:
+        if isinstance(v, np.ndarray):
+            return np.array([x ** 2 for x in v.tolist()])
+        return v ** 2
+    except OverflowError:
+        pass
+    for row, x in enumerate(np.atleast_1d(v).tolist()):
+        try:
+            x ** 2
+        except OverflowError:
+            raise ValueError(
+                f"Hamiltonian overflows: {name} = {x!r} in row {row} is too large to square"
+            ) from None
 
 
 def hamiltonian_value(state, params: DissipativeParams):
@@ -352,7 +364,7 @@ def hamiltonian_value(state, params: DissipativeParams):
     """
     xp, xm, vp, vm = _state_fields(state)
     u = params.potential.value
-    kinetic = 0.5 * params.M * (_square(vp) - _square(vm))
+    kinetic = 0.5 * params.M * (_square(vp, "v_plus") - _square(vm, "v_minus"))
     return kinetic + u(xp) - u(xm)
 
 

@@ -575,6 +575,93 @@ def test_vortex_config_core_is_strict(tmp_path, capsys, core, name):
     assert f'"{name}" must be a number' in err
 
 
+_TRIANGLE = [[0, 0], [1, 0], [1, 1]]
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [("vortex", {"scene": {"core_loop": _TRIANGLE, "atoms": [], "sigma": 1}, "out": 2}, "out"),
+     ("phase", {"loop_csv": 0, "L": 1.0}, "loop_csv"),
+     ("evolve", {"params": {"M": 1.0, "R": 0.4}, "dt": 0.01, "steps": 5, "out": 3.5}, "out"),
+     ("phase", {"loop": _TRIANGLE, "L": 1.0, "out": ["a.json"]}, "out"),
+     ("phase", {"path1_csv": 1, "path2_csv": "b.csv"}, "path1_csv"),
+     ("phase", {"path1_csv": "a.csv", "path2_csv": False}, "path2_csv"),
+     ("phase", {"scene_json": 0}, "scene_json"),
+     ("vortex", {"scene_json": {"core_loop": _TRIANGLE}}, "scene_json")],
+)
+def test_path_settings_must_be_strings(tmp_path, capsys, command, cfg, key):
+    # a number would be taken as a file descriptor: "out": 2 wrote to stderr
+    # and closed it, "loop_csv": 0 read stdin
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, **cfg}))
+    code, out, err = run_cli([command, "--config", str(path)], capsys)
+    assert code == 2
+    assert f'"{key}" must be a path string' in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("ab", ["false", "true", 1, 0])
+def test_phase_ab_must_be_a_boolean(tmp_path, capsys, ab):
+    path = tmp_path / "phase.json"
+    path.write_text(json.dumps({"schema_version": 1, "loop": _TRIANGLE, "L": 1.0, "ab": ab}))
+    code, out, err = run_cli(["phase", "--config", str(path), "--B", "1.0"], capsys)
+    assert code == 2
+    assert '"ab" must be true or false' in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "loop, name",
+    [([[0, 0], [1, 0], [1, True], ["0", 1]], "loop[2][1]"),
+     ([[0, 0], [1, 0], [1, 1], ["0", 1]], "loop[3][0]"),
+     ([[0, 0], [1.5, 0], [1, 1], [0, None]], "loop[3][1]")],
+)
+def test_phase_config_loop_is_strict(tmp_path, capsys, loop, name):
+    path = tmp_path / "phase.json"
+    path.write_text(json.dumps({"schema_version": 1, "loop": loop, "L": 1.0}))
+    code, out, err = run_cli(["phase", "--config", str(path)], capsys)
+    assert code == 2
+    assert f'"{name}" must be a number' in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [({"sigma": True, "density": "2.5"}, '"scene.sigma" must be an integer'),
+     ({"sigma": 1.0}, '"scene.sigma" must be an integer'),
+     ({"density": "2.5"}, '"scene.density" must be a number'),
+     ({"density": False}, '"scene.density" must be a number'),
+     ({"atoms": [[0.5, 0.25], [True, 0.5]]}, '"scene.atoms[1][0]" must be a number'),
+     ({"atoms": [[0.5, 0.25, 0.0]]}, '"scene.atoms[0]" must be an [x, y] pair'),
+     ({"core_loop": [[0, 0], [2, 0], [2, "2"], [0, 2]]},
+      '"scene.core_loop[2][1]" must be a number')],
+)
+@pytest.mark.parametrize("command", ["vortex", "phase"])
+def test_scene_values_are_strict(tmp_path, capsys, command, change, message):
+    scene = {"core_loop": [[0, 0], [2, 0], [2, 2], [0, 2]], "atoms": [[0.5, 0.5]],
+             "sigma": -1, **change}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    code, out, err = run_cli([command, "--scene", str(path)], capsys)
+    assert code == 2
+    assert message in err
+    assert out == ""
+    # the same scene given inline in a config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "scene": scene}))
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert message in err
+
+
+def test_evolve_hamiltonian_overflow_is_a_config_error(capsys):
+    code, out, err = run_cli(["evolve", "--M", "1", "--R", "0", "--potential", "free",
+                              "--v-plus", "1e200", "--dt", "0.01", "--steps", "3"], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "v_plus" in err and "row 0" in err
+    assert out == ""
+
+
 def test_vortex_scatter_equals_explicit_atoms(tmp_path, capsys):
     loop = [[2, 2], [6, 2.5], [6, 6], [2, 6]]
     cfg = {

@@ -458,6 +458,23 @@ def test_array_forms_equal_the_per_state_values():
         hamiltonian_value(traj[:, :4], params)
 
 
+
+def test_hamiltonian_overflow_names_the_row_and_the_column():
+    # |v| above ~1.3e154 overflows v ** 2; an infinite v squares to inf as before
+    params = DissipativeParams(M=1.0, R=0.0)
+    traj = np.zeros((4, 5))
+    traj[2, 4] = -1e200
+    with pytest.raises(ValueError, match=r"v_minus = -1e\+200 in row 2"):
+        hamiltonian_value(traj, params)
+    traj[3, 3] = 2e160
+    with pytest.raises(ValueError, match=r"v_plus = 2e\+160 in row 3"):
+        hamiltonian_value(traj, params)
+    with pytest.raises(ValueError, match=r"v_plus = 1e\+155 in row 0"):
+        hamiltonian_value(TwoCoordState(0.0, 0.0, 1e155, 0.0), params)
+    traj[2, 4], traj[3, 3] = np.inf, 1e154
+    assert hamiltonian_value(traj, params)[2] == -np.inf
+    assert hamiltonian_value(traj, params)[3] == 0.5 * (1e154 ** 2)
+
 @pytest.mark.parametrize("block", [1, 3, 7, 4096])
 def test_divergence_step_does_not_depend_on_the_block(monkeypatch, block):
     params = DissipativeParams(
