@@ -558,10 +558,9 @@ def run_vortex(args) -> int:
         report["length_scale"] = film_length_scale(scene.density)
     core = _setting(args.core, cfg, "core", "core", "pair", None)
     if core is not None:
-        cx, cy = core
-        core_winding = winding_number((cx, cy), scene.core_loop)
+        core_winding = winding_number(core, scene.core_loop)
         report["core_winding"] = core_winding
-        report["circulation"] = circulation_integral((cx, cy), scene.core_loop, scene.sigma)
+        report["circulation"] = circulation_integral(core, scene.core_loop, scene.sigma)
         report["core_inside"] = core_winding != 0
     _emit_json(report, out)
     return EXIT_OK

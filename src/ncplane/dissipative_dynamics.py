@@ -360,7 +360,8 @@ def hamiltonian_value(state, params: DissipativeParams):
     """Conserved generator (M/2)(v+^2 - v-^2) + U(x+) - U(x-).
 
     state is a TwoCoordState (a float comes back) or an (N, 5) trajectory
-    array (one value per row).
+    array (one value per row).  A finite velocity whose square overflows
+    raises ValueError naming its column and row.
     """
     xp, xm, vp, vm = _state_fields(state)
     u = params.potential.value
