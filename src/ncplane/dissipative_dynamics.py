@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .operator_core import CommutatorReport, build_ladder, factored_commutator_table, require_dim
+from .operator_core import CommutatorReport, NcParams, build_xy, commutator_table, tensor_operators
 
 __all__ = [
     "Potential",
@@ -491,9 +491,7 @@ def _doubled_factors(params: DissipativeParams, dim: int) -> list[list[tuple[str
     """K_pm and xi_pm on the first ladder factor, X_pm on the second."""
     l2 = params.L2
     ell = math.sqrt(l2)
-    z, zdag = build_ladder(dim)
-    plus_f = (z + zdag) / math.sqrt(2.0)
-    minus_f = -1j * (z - zdag) / math.sqrt(2.0)
+    plus_f, minus_f = build_xy(NcParams(L=1.0), dim)
     k_plus = plus_f / ell
     k_minus = minus_f / ell
     return [
@@ -511,12 +509,7 @@ def doubled_operators(params: DissipativeParams, dim: int) -> dict[str, np.ndarr
     brackets vanish identically.  Clean-block relations:
     [K+, K-] = i / L^2, [xi+, xi-] = i L^2, [X+, X-] = -i L^2.
     """
-    dim = require_dim(dim)
-    velocity, center = _doubled_factors(params, dim)
-    eye = np.eye(dim)
-    ops = {label: np.kron(m, eye) for label, m in velocity}
-    ops.update({label: np.kron(eye, m) for label, m in center})
-    return ops
+    return tensor_operators(_doubled_factors(params, dim), dim)
 
 
 def kappa_commutator_check(params: DissipativeParams, dim: int) -> CommutatorReport:
@@ -525,10 +518,9 @@ def kappa_commutator_check(params: DissipativeParams, dim: int) -> CommutatorRep
     Certifies [K+, K-] = i / L^2, [xi+, xi-] = i L^2, [X+, X-] = -i L^2,
     and that every mixed xi/X bracket vanishes, with the truncation
     artifact isolated on the last level.  Computed on the dim x dim ladder
-    factors; the mixed-factor entries are exact zeros.
+    factors; the mixed-factor entries are exact zeros.  Requires dim >= 3.
     """
-    dim = require_dim(dim, minimum=3)
-    return factored_commutator_table(_doubled_factors(params, dim), dim)
+    return commutator_table(_doubled_factors(params, dim), dim)
 
 
 def validate_density_matrix(rho, tol: float = 1e-12) -> np.ndarray:

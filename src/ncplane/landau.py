@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator_core import (
-    CommutatorReport,
-    NcParams,
-    build_xy,
-    factored_commutator_table,
-    require_dim,
-)
+from .operator_core import CommutatorReport, NcParams, build_xy, commutator_table, tensor_operators
 from .phase_geometry import signed_area
 
 __all__ = [
@@ -111,12 +105,7 @@ def cyclotron_operators(params: MagneticParams, dim: int) -> dict[str, np.ndarra
     the second factor with [center_x, center_y] = -i L^2.  Operators from
     different factors commute exactly, no truncation caveat.
     """
-    dim = require_dim(dim)
-    kinematic, center = _cyclotron_factors(params, dim)
-    eye = np.eye(dim)
-    ops = {label: np.kron(m, eye) for label, m in kinematic}
-    ops.update({label: np.kron(eye, m) for label, m in center})
-    return ops
+    return tensor_operators(_cyclotron_factors(params, dim), dim)
 
 
 def cyclotron_algebra(params: MagneticParams, dim: int) -> CommutatorReport:
@@ -125,11 +114,9 @@ def cyclotron_algebra(params: MagneticParams, dim: int) -> CommutatorReport:
     Expected clean-block values: [rho_x, rho_y] = i L^2,
     [center_x, center_y] = -i L^2, all cross-factor brackets zero.
     Computed on the dim x dim ladder factors; the cross-factor entries are
-    exact zeros.  Requires dim >= 3 so the clean block is big enough to
-    certify constancy.
+    exact zeros.  Requires dim >= 3.
     """
-    dim = require_dim(dim, minimum=3)
-    return factored_commutator_table(_cyclotron_factors(params, dim), dim)
+    return commutator_table(_cyclotron_factors(params, dim), dim)
 
 
 def flux_quantization(params: MagneticParams, n_max: int) -> list[tuple[float, float]]:

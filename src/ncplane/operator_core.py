@@ -8,11 +8,13 @@ is unavoidable in any finite representation (the trace of a commutator
 vanishes), so algebra checks in this package always report the clean block
 and the artifact separately instead of pretending the truncation away.
 
-Operators on a tensor product of ladders all have the form A (x) I or
-I (x) B.  Brackets of two operators on the same factor equal [A, B] (x) I,
-and brackets across factors vanish exactly, so bracket tables are computed
-per factor on dim x dim matrices (factored_commutator_table), never on the
-dim^2 x dim^2 tensor-space matrices.
+An operator family is given as factor groups: one list of (label, dim x dim
+matrix) per ladder factor.  On the tensor product of two ladders the first
+group's matrices stand for A (x) I and the second's for I (x) B
+(tensor_operators builds those dim^2 x dim^2 matrices).  Brackets of two
+operators on the same factor equal [A, B] (x) I, and brackets across
+factors vanish exactly, so commutator_table, the one bracket-table routine,
+works per factor on the dim x dim matrices and never on the tensor space.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ __all__ = [
     "commutator",
     "commutator_table",
     "distance_spectrum",
-    "factored_commutator_table",
     "hermiticity_defect",
     "require_dim",
+    "tensor_operators",
 ]
 
 
@@ -150,83 +152,60 @@ class CommutatorReport:
 
 
 def commutator_table(
-    entries: list[tuple[str, np.ndarray, np.ndarray]],
+    groups: list[list[tuple[str, np.ndarray]]],
     dim: int,
 ) -> CommutatorReport:
-    """Evaluate all pairwise commutators of labelled operators.
+    """Pairwise bracket table for operators on separate ladder factors.
 
-    Costs one dense commutator per ordered pair, O(n^3) in the matrix size
-    n.  For operators on a tensor product of ladders use
-    factored_commutator_table, which calls this once per factor on the
-    dim x dim factor matrices.
-
-    entries: (label, matrix, clean_mask) triples.  clean_mask is a boolean
-    vector over the representation space marking basis states unaffected by
-    that operator's truncation level; a pair's clean block is the AND of
-    the two masks.  Index 0 (the joint ground state) must be clean for
-    every operator.
+    groups holds one list of (label, matrix) per ladder factor; each matrix
+    is dim x dim and stands for itself tensored with the identity on every
+    other factor.  A bracket within a group costs one dense dim x dim
+    commutator c: leading is c[0, 0], artifact is c[-1, -1], and the clean
+    block is the levels below the top one, c[:-1, :-1].  Brackets across
+    groups are exact zeros.  Requires dim >= 3 so the clean block is big
+    enough to certify constancy.
     """
-    labels = tuple(e[0] for e in entries)
-    n = len(entries)
+    dim = require_dim(dim, minimum=3)
+    for label, m in (entry for group in groups for entry in group):
+        if np.shape(m) != (dim, dim):
+            raise ValueError(f"operator {label!r} must be {dim} x {dim}, got shape {np.shape(m)}")
+    labels = tuple(label for group in groups for label, _ in group)
+    n = len(labels)
     leading = np.zeros((n, n), dtype=complex)
     artifact = np.zeros((n, n), dtype=complex)
     deviation = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            c = commutator(entries[i][1], entries[j][1])
-            mask = entries[i][2] & entries[j][2]
-            if not mask[0]:
-                raise ValueError("clean masks must include the ground state")
-            lead = c[0, 0]
-            idx = np.flatnonzero(mask)
-            sub = c[np.ix_(idx, idx)] - lead * np.eye(idx.size)
-            leading[i, j] = lead
-            artifact[i, j] = c[-1, -1]
-            deviation[i, j] = float(np.abs(sub).max())
+    eye = np.eye(dim - 1)
+    start = 0
+    for group in groups:
+        for a, (_, ma) in enumerate(group, start):
+            for b, (_, mb) in enumerate(group, start):
+                if a == b:
+                    continue
+                c = commutator(ma, mb)
+                leading[a, b] = c[0, 0]
+                artifact[a, b] = c[-1, -1]
+                deviation[a, b] = float(np.abs(c[:-1, :-1] - c[0, 0] * eye).max())
+        start += len(group)
     return CommutatorReport(
         labels=labels,
         leading=leading,
         artifact=artifact,
         clean_deviation=deviation,
-        dim=require_dim(dim),
-    )
-
-
-def factored_commutator_table(
-    groups: list[list[tuple[str, np.ndarray]]],
-    dim: int,
-) -> CommutatorReport:
-    """Bracket table for operators living on separate tensor factors.
-
-    groups holds one list of (label, factor_matrix) per ladder factor; each
-    matrix is dim x dim and stands for itself tensored with the identity on
-    every other factor.  Brackets within a group equal the factor bracket
-    tensored with the identity, so commutator_table runs once per group with
-    the factor's clean mask (levels below dim - 1) and its report becomes a
-    diagonal block of the result.  Brackets across groups are exact zeros.
-    """
-    dim = require_dim(dim)
-    clean = np.arange(dim) < dim - 1
-    blocks = [
-        commutator_table([(label, m, clean) for label, m in group], dim) for group in groups
-    ]
-    n = sum(len(b.labels) for b in blocks)
-    leading = np.zeros((n, n), dtype=complex)
-    artifact = np.zeros((n, n), dtype=complex)
-    deviation = np.zeros((n, n), dtype=float)
-    start = 0
-    for b in blocks:
-        s = slice(start, start + len(b.labels))
-        leading[s, s] = b.leading
-        artifact[s, s] = b.artifact
-        deviation[s, s] = b.clean_deviation
-        start = s.stop
-    return CommutatorReport(
-        labels=tuple(label for b in blocks for label in b.labels),
-        leading=leading,
-        artifact=artifact,
-        clean_deviation=deviation,
         dim=dim,
     )
+
+
+def tensor_operators(
+    groups: list[list[tuple[str, np.ndarray]]],
+    dim: int,
+) -> dict[str, np.ndarray]:
+    """The dim^2 x dim^2 matrices two factor groups stand for, by label.
+
+    The first group's matrices become A (x) I, the second's I (x) B, so
+    operators from different groups commute exactly.
+    """
+    first, second = groups
+    eye = np.eye(require_dim(dim))
+    ops = {label: np.kron(m, eye) for label, m in first}
+    ops.update({label: np.kron(eye, m) for label, m in second})
+    return ops

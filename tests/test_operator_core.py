@@ -5,15 +5,22 @@ import pytest
 
 from ncplane import (
     CommutatorReport,
+    DissipativeParams,
+    MagneticParams,
     NcParams,
     build_ladder,
     build_xy,
     commutator,
     commutator_table,
+    cyclotron_operators,
     distance_spectrum,
+    doubled_operators,
     hermiticity_defect,
     require_dim,
+    tensor_operators,
 )
+from ncplane.dissipative_dynamics import _doubled_factors
+from ncplane.landau import _cyclotron_factors
 
 
 def test_ladder_matrix_elements():
@@ -117,8 +124,7 @@ def test_commutator_table_report():
     params = NcParams(L=1.0)
     dim = 5
     X, Y = build_xy(params, dim)
-    clean = np.arange(dim) < dim - 1
-    report = commutator_table([("X", X, clean), ("Y", Y, clean)], dim)
+    report = commutator_table([[("X", X), ("Y", Y)]], dim)
     assert isinstance(report, CommutatorReport)
     assert report.labels == ("X", "Y")
     assert report.leading[0, 1] == pytest.approx(1j)
@@ -128,9 +134,44 @@ def test_commutator_table_report():
     assert report.dim == dim
 
 
-def test_commutator_table_requires_ground_state_in_mask():
-    params = NcParams(L=1.0)
-    X, Y = build_xy(params, 4)
-    bad = np.array([False, True, True, True])
-    with pytest.raises(ValueError, match="ground state"):
-        commutator_table([("X", X, bad), ("Y", Y, bad)], 4)
+def test_commutator_table_names_a_matrix_of_the_wrong_shape():
+    X, Y = build_xy(NcParams(L=1.0), 5)
+    with pytest.raises(ValueError, match="operator 'W' must be 5 x 5, got shape \\(4, 4\\)"):
+        commutator_table([[("X", X), ("Y", Y)], [("W", np.eye(4))]], 5)
+
+
+def test_commutator_table_needs_a_clean_block():
+    X, Y = build_xy(NcParams(L=1.0), 2)
+    with pytest.raises(ValueError, match="dim must be >= 3, got 2"):
+        commutator_table([[("X", X), ("Y", Y)]], 2)
+
+
+FAMILIES = {
+    "magnetic": (_cyclotron_factors, cyclotron_operators, MagneticParams(B=0.7, hbar=1.3)),
+    "dissipative": (_doubled_factors, doubled_operators, DissipativeParams(M=1.3, R=0.4, hbar=0.9)),
+}
+
+
+@pytest.mark.parametrize("dim", range(3, 9))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_factor_table_matches_tensor_space_brackets(family, dim):
+    """The per-factor table reads what the dim^2 x dim^2 brackets say."""
+    factors, operators, params = FAMILIES[family]
+    groups = factors(params, dim)
+    ops = tensor_operators(groups, dim)
+    for label, m in operators(params, dim).items():
+        assert np.array_equal(m, ops[label])
+    report = commutator_table(groups, dim)
+    assert report.labels == tuple(ops)
+    group_of = [g for g, group in enumerate(groups) for _ in group]
+    scale = max(abs(report.leading).max(), abs(report.artifact).max())
+    tol = dict(rel=1e-13, abs=1e-13 * scale)
+    for i, a in enumerate(report.labels):
+        for j, b in enumerate(report.labels):
+            c = commutator(ops[a], ops[b])
+            if group_of[i] != group_of[j]:
+                assert report.leading[i, j] == 0 and report.artifact[i, j] == 0
+                assert np.abs(c).max() <= 1e-13 * scale
+            elif i != j:
+                assert c[0, 0] == pytest.approx(report.leading[i, j], **tol)
+                assert c[-1, -1] == pytest.approx(report.artifact[i, j], **tol)
