@@ -47,7 +47,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .operator_core import CommutatorReport, NcParams, build_xy, commutator_table, tensor_operators
 
@@ -477,13 +476,16 @@ def friction_hamiltonian(xi, params: DissipativeParams) -> float | np.ndarray:
 def transmission_coefficient(omega, gamma: float):
     """Barrier transmission P(omega) = 1 / (1 + exp(-2 pi omega / gamma)).
 
-    P(0) = 1/2 exactly, P(omega) + P(-omega) = 1, monotone increasing.
+    P(0) = 1/2 exactly, P(omega) + P(-omega) = 1 to rounding, monotone
+    increasing.
     Vectorized over omega.
     """
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ValueError(f"transmission requires a positive decay rate, got gamma = {gamma}")
     omega = np.asarray(omega, dtype=float)
-    out = expit(2.0 * math.pi * omega / gamma)
+    # exp(-x) overflows to inf far below the barrier, where P rounds to 0
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + np.exp(-2.0 * math.pi * omega / gamma))
     return float(out) if out.ndim == 0 else out
 
 

@@ -287,6 +287,28 @@ def test_transmission_values():
         transmission_coefficient(1.0, 0.0)
 
 
+def test_transmission_far_from_the_barrier_is_exact_and_quiet():
+    assert transmission_coefficient(0.0, 3.7) == 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # |omega / gamma| = 1e3: exp(2 pi 1e3) overflows on the low side
+        p = transmission_coefficient(np.array([-2e3, 2e3]), 2.0)
+        low = transmission_coefficient(-1e3, 1.0)
+    np.testing.assert_array_equal(p, [0.0, 1.0])
+    assert low == 0.0
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 0.7, 2 * math.pi, 50.0])
+def test_transmission_agrees_with_expit(gamma):
+    from scipy.special import expit
+
+    omega = np.linspace(-100.0, 100.0, 20001) * gamma
+    want = expit(2.0 * math.pi * omega / gamma)
+    got = transmission_coefficient(omega, gamma)
+    assert np.all(want > 0)
+    assert (np.abs(got - want) / want).max() <= 1e-15
+
+
 def test_kappa_commutator_table():
     params = DissipativeParams(M=1.5, R=0.5, hbar=2.0)  # L2 = 4
     report = kappa_commutator_check(params, 5)
