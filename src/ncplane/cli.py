@@ -2,9 +2,11 @@
 
 Results go to stdout (or --out FILE); diagnostics go to stderr only.
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 diverged trajectory.
-CSV output carries 17 significant digits per value.  JSON config files
-must carry "schema_version": 1; identical configs produce byte-identical
-output (statistical vortex scenes require an explicit scatter seed).
+CSV output carries 17 significant digits per value; a NaN or infinity in
+any output is an error (exit 2) that names its CSV column or JSON key.
+JSON config files must carry "schema_version": 1; identical configs produce
+byte-identical output (statistical vortex scenes require an explicit
+scatter seed).
 
 Config/flag cheat sheet (flags override config keys; README.md lists every
 key with its JSON type and default, and a value of another type is an error
@@ -30,6 +32,7 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 import sys
 import warnings
 
@@ -107,8 +110,45 @@ def _emit_csv(header: str, table: np.ndarray, out_path: str | None) -> None:
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
+def _require_finite(header: str, table: np.ndarray) -> None:
+    """Raise ValueError naming the column and row of the first NaN or infinity."""
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"output column {header.split(',')[col]} is not finite in row {row}: "
+            f"{float(table[row, col])}"
+        )
+
+
+def _nonfinite_key(obj, key: str = "") -> str | None:
+    """Qualified key of the first NaN or infinity in a JSON tree, or None."""
+    if isinstance(obj, dict):
+        children = ((f"{key}.{k}" if key else k, v) for k, v in sorted(obj.items()))
+    elif isinstance(obj, list):
+        children = ((f"{key}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return key if isinstance(obj, float) and not math.isfinite(obj) else None
+    for child, value in children:
+        found = _nonfinite_key(value, child)
+        if found is not None:
+            return found
+    return None
+
+
+def _json_line(obj) -> str:
+    """obj as one line of JSON with sorted keys.
+
+    JSON has no NaN or infinity: such a value raises ValueError naming its key.
+    """
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError(f"output field {_nonfinite_key(obj)} is not finite") from None
+
+
 def _emit_json(obj, out_path: str | None) -> None:
-    _emit(json.dumps(obj, sort_keys=True) + "\n", out_path)
+    _emit(_json_line(obj), out_path)
 
 
 def _load_json(path: str):
@@ -322,8 +362,9 @@ def run_spectrum(args) -> int:
     if args.format == "json":
         _emit_json({"kind": args.kind, "values": [float(v) for v in values]}, args.out)
     else:
-        values = np.asarray(values, dtype=float)
-        _emit_csv("n,value", np.column_stack((np.arange(len(values)), values)), args.out)
+        table = np.column_stack((np.arange(len(values)), values))
+        _require_finite("n,value", table)
+        _emit_csv("n,value", table, args.out)
     return EXIT_OK
 
 
@@ -392,17 +433,23 @@ def run_evolve(args) -> int:
     out = _setting(args.out, cfg, "out", "out", "path", None)
 
     traj = integrate_array(initial, params, dt, steps)
-    h = hamiltonian_value(traj, params)
-    xi = None
-    if want_canonical:
-        cc = canonical_coords(traj, params)
-        xi = np.column_stack(cc.xi)
-        columns = (traj, xi, cc.X_plus, cc.X_minus, h, orbit_invariant(xi))
-    else:
-        columns = (traj, h)
-    _emit_csv(EVOLVE_HEADER[want_canonical], np.column_stack(columns), out)
-    summary = _evolve_summary(traj, params, h, xi, dt)
-    sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
+    header = EVOLVE_HEADER[want_canonical]
+    # a NaN or infinity is reported by the checks below, by column or key
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = hamiltonian_value(traj, params)
+        xi = None
+        if want_canonical:
+            cc = canonical_coords(traj, params)
+            xi = np.column_stack(cc.xi)
+            columns = (traj, xi, cc.X_plus, cc.X_minus, h, orbit_invariant(xi))
+        else:
+            columns = (traj, h)
+        table = np.column_stack(columns)
+        _require_finite(header, table)
+        # encoded before the CSV is written, so a bad summary writes nothing
+        summary = _json_line(_evolve_summary(traj, params, h, xi, dt))
+    _emit_csv(header, table, out)
+    _emit(summary, None)
     return EXIT_OK
 
 

@@ -1,8 +1,10 @@
 """End-to-end checks of the command line interface and its exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -662,6 +664,59 @@ def test_evolve_hamiltonian_overflow_is_a_config_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("to_file", [False, True])
+def test_evolve_potential_overflow_names_the_column_and_writes_nothing(
+        tmp_path, capsys, to_file):
+    csv = tmp_path / "traj.csv"
+    argv = ["evolve", "--M", "1", "--R", "0", "--potential", "harmonic", "--k", "1",
+            "--x-plus", "1e160", "--dt", "1e-30", "--steps", "2"]
+    code, out, err = run_cli(argv + (["--out", str(csv)] if to_file else []), capsys)
+    assert code == 2
+    assert err == "error: output column hamiltonian is not finite in row 0: inf\n"
+    assert out == ""
+    assert not csv.exists()
+
+
+def test_evolve_summary_overflow_names_the_key_and_writes_nothing(tmp_path, capsys):
+    # every column is finite, but the diagonal's second difference overflows
+    csv = tmp_path / "traj.csv"
+    code, out, err = run_cli(["evolve", "--M", "1", "--R", "1", "--potential", "free",
+                              "--x-plus", "1.7e308", "--x-minus", "1.7e308", "--dt", "0.1",
+                              "--steps", "3", "--out", str(csv)], capsys)
+    assert code == 2
+    assert err == "error: output field classical_residual is not finite\n"
+    assert out == ""
+    assert not csv.exists()
+
+
+def test_evolve_hyperbolic_overflow_writes_nothing(tmp_path, capsys):
+    csv = tmp_path / "traj.csv"
+    code, out, err = run_cli(["evolve", "--M", "1", "--R", "1", "--potential", "free",
+                              "--v-plus", "1", "--v-minus", "1", "--dt", "0.1",
+                              "--steps", "8000", "--out", str(csv)], capsys)
+    assert code == 2
+    assert "gamma*t" in err
+    assert out == ""
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("fmt, where", [("csv", "column value is not finite in row 0"),
+                                        ("json", "field values[0] is not finite")])
+def test_spectrum_overflow_is_named_not_printed(capsys, fmt, where):
+    code, out, err = run_cli(["spectrum", "--kind", "distance", "--L", "1e200", "--dim", "3",
+                              "--format", fmt], capsys)
+    assert code == 2
+    assert where in err
+    assert out == ""
+
+
+def test_json_output_names_a_nonfinite_key(tmp_path):
+    obj = {"a": 1.0, "b": {"c": [0.5, float("-inf")]}, "d": float("nan")}
+    with pytest.raises(ValueError, match=r"output field b\.c\[1\] is not finite"):
+        cli._emit_json(obj, str(tmp_path / "out.json"))
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_vortex_scatter_equals_explicit_atoms(tmp_path, capsys):
     loop = [[2, 2], [6, 2.5], [6, 6], [2, 6]]
     cfg = {
@@ -695,3 +750,14 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "spectrum" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ncplane.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
