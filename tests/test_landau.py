@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncplane import (
     MagneticParams,
@@ -108,3 +110,12 @@ def test_aharonov_bohm_phase_unit_flux():
     assert aharonov_bohm_phase(p, loop) == pytest.approx(2 * np.pi, rel=1e-12)
     # clockwise traversal flips the sign
     assert aharonov_bohm_phase(p, loop[::-1]) == pytest.approx(-2 * np.pi, rel=1e-12)
+
+
+@settings(deadline=None)
+@given(B=st.floats(1e-6, 1e6), e=st.floats(1e-6, 1e6), c=st.floats(1e-6, 1e6),
+       hbar=st.floats(1e-6, 1e6))
+def test_every_flux_step_is_one_flux_quantum(B, e, c, hbar):
+    params = MagneticParams(B=B, e=e, c=c, hbar=hbar)
+    steps = np.array([step for _, step in flux_quantization(params, 200)])
+    assert np.abs(steps / params.flux_quantum - 1.0).max() <= 1e-12

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncplane import (
     NcParams,
@@ -139,3 +141,25 @@ def test_loop_action_phase_split_choices():
         loop_action_phase(hexagon(), params, split=0)
     with pytest.raises(ValueError):
         loop_action_phase(hexagon(), params, split=6)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    grid=st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+                  min_size=3, max_size=40),
+    shift=st.tuples(st.integers(-10**7, 10**7), st.integers(-10**7, 10**7)),
+    scale=st.floats(1e-6, 1e6),
+    L=st.floats(1e-3, 1e3),
+    hbar=st.floats(1e-3, 1e3),
+    data=st.data(),
+)
+def test_area_phase_equals_action_phase(grid, shift, scale, L, hbar, data):
+    """The paper's phase-area theorem, over random polygons, scales, L and cuts."""
+    loop = (np.array(grid, dtype=float) + shift) * (scale * 1e-6)
+    params = NcParams(L=L, hbar=hbar)
+    split = data.draw(st.integers(1, len(grid) - 1), label="split")
+    x, y = loop[:, 0], loop[:, 1]
+    # the shoelace products set the size of the rounding in either route
+    products = np.abs(x * np.roll(y, -1)).sum() + np.abs(np.roll(x, -1) * y).sum()
+    gap = interference_phase_area(loop, params) - loop_action_phase(loop, params, split=split)
+    assert abs(gap) <= 1e-12 * products / params.L2
