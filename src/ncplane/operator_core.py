@@ -15,6 +15,7 @@ group's matrices stand for A (x) I and the second's for I (x) B
 operators on the same factor equal [A, B] (x) I, and brackets across
 factors vanish exactly, so commutator_table, the one bracket-table routine,
 works per factor on the dim x dim matrices and never on the tensor space.
+Every family takes its coordinate pairs from build_xy.
 """
 
 from __future__ import annotations
