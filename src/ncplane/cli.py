@@ -32,6 +32,9 @@ import contextlib
 import functools
 import itertools
 import json
+# argparse's gettext imports locale when the first parser is built; importing
+# it with the module keeps that one-time cost (~1.4 ms) out of the first command
+import locale  # noqa: F401
 import math
 import sys
 import warnings
