@@ -167,11 +167,11 @@ def commutator_table(
     enough to certify constancy.
     """
     dim = require_dim(dim, minimum=3)
-    for label, m in (entry for group in groups for entry in group):
+    entries = [entry for group in groups for entry in group]
+    for label, m in entries:
         if np.shape(m) != (dim, dim):
             raise ValueError(f"operator {label!r} must be {dim} x {dim}, got shape {np.shape(m)}")
-    labels = tuple(label for group in groups for label, _ in group)
-    n = len(labels)
+    n = len(entries)
     leading = np.zeros((n, n), dtype=complex)
     artifact = np.zeros((n, n), dtype=complex)
     deviation = np.zeros((n, n), dtype=float)
@@ -188,7 +188,7 @@ def commutator_table(
                 deviation[a, b] = float(np.abs(c[:-1, :-1] - c[0, 0] * eye).max())
         start += len(group)
     return CommutatorReport(
-        labels=labels,
+        labels=tuple(label for label, _ in entries),
         leading=leading,
         artifact=artifact,
         clean_deviation=deviation,
