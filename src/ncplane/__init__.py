@@ -7,133 +7,22 @@ the finite operator algebra, the two equivalent interference-phase routes
 flux quantization, the doubled-coordinate dissipative dynamics with its
 hyperbolic canonical flow, and winding-number phase counting for a point
 vortex in a thin film.
+
+The public names are those of the five modules' __all__ lists; each module
+owns its list, and this package re-exports them all.
 """
 
-from .operator_core import (
-    CommutatorReport,
-    NcParams,
-    build_ladder,
-    build_xy,
-    commutator,
-    commutator_table,
-    distance_spectrum,
-    hermiticity_defect,
-    require_dim,
-    tensor_operators,
-)
-from .phase_geometry import (
-    action_integral,
-    as_path,
-    interference_phase_action,
-    interference_phase_area,
-    loop_action_phase,
-    signed_area,
-    to_phase_space,
-)
-from .landau import (
-    MagneticParams,
-    aharonov_bohm_phase,
-    cyclotron_algebra,
-    cyclotron_operators,
-    flux_quantization,
-    landau_hamiltonian,
-    landau_spectrum,
-    magnetic_length,
-)
-from .dissipative_dynamics import (
-    CanonicalCoords,
-    DissipativeParams,
-    DivergenceError,
-    Potential,
-    TwoCoordState,
-    bohr_frequencies,
-    canonical_coords,
-    canonical_momenta,
-    doubled_operators,
-    eom_rhs,
-    evolve_density,
-    friction_hamiltonian,
-    hamiltonian_value,
-    hyperbolic_evolve,
-    integrate_array,
-    integrate_trajectory,
-    kappa_commutator_check,
-    orbit_invariant,
-    trajectory_to_array,
-    transmission_coefficient,
-    validate_density_matrix,
-)
-from .vortex_film import (
-    VortexScene,
-    circulation_integral,
-    count_phase,
-    film_length_scale,
-    point_in_polygon,
-    points_in_polygon,
-    scene_from_dict,
-    winding_number,
-    winding_numbers,
-    winding_phase,
-)
+from . import dissipative_dynamics, landau, operator_core, phase_geometry, vortex_film
+from .dissipative_dynamics import *  # noqa: F401,F403
+from .landau import *  # noqa: F401,F403
+from .operator_core import *  # noqa: F401,F403
+from .phase_geometry import *  # noqa: F401,F403
+from .vortex_film import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CommutatorReport",
-    "NcParams",
-    "build_ladder",
-    "build_xy",
-    "commutator",
-    "commutator_table",
-    "distance_spectrum",
-    "hermiticity_defect",
-    "require_dim",
-    "tensor_operators",
-    "action_integral",
-    "as_path",
-    "interference_phase_action",
-    "interference_phase_area",
-    "loop_action_phase",
-    "signed_area",
-    "to_phase_space",
-    "MagneticParams",
-    "aharonov_bohm_phase",
-    "cyclotron_algebra",
-    "cyclotron_operators",
-    "flux_quantization",
-    "landau_hamiltonian",
-    "landau_spectrum",
-    "magnetic_length",
-    "CanonicalCoords",
-    "DissipativeParams",
-    "DivergenceError",
-    "Potential",
-    "TwoCoordState",
-    "bohr_frequencies",
-    "canonical_coords",
-    "canonical_momenta",
-    "doubled_operators",
-    "eom_rhs",
-    "evolve_density",
-    "friction_hamiltonian",
-    "hamiltonian_value",
-    "hyperbolic_evolve",
-    "integrate_array",
-    "integrate_trajectory",
-    "kappa_commutator_check",
-    "orbit_invariant",
-    "trajectory_to_array",
-    "transmission_coefficient",
-    "validate_density_matrix",
-    "VortexScene",
-    "circulation_integral",
-    "count_phase",
-    "film_length_scale",
-    "point_in_polygon",
-    "points_in_polygon",
-    "scene_from_dict",
-    "winding_number",
-    "winding_numbers",
-    "winding_phase",
-    "__version__",
-]
+    name
+    for module in (operator_core, phase_geometry, landau, dissipative_dynamics, vortex_film)
+    for name in module.__all__
+] + ["__version__"]

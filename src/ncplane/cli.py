@@ -22,6 +22,9 @@ that names its key):
   algebra   --kind magnetic --dim 6 --B 2.0
   vortex    --scene scene.json --core 0.2,0.3  # (scene_json, scene, core, scatter)
 
+spectrum, phase and algebra share the field flags --B --charge --light-speed
+--mass --hbar and --out; a field value is 1.0 when absent, except that spectrum
+needs --B or --omega-c and phase's flux route needs B.
 A scene or loop comes from its flag, else its file key, else its inline key.
 """
 
@@ -341,26 +344,39 @@ def _potential_from(node, kind=None, k=None, coeffs=None) -> Potential:
     raise ConfigError(f"unknown potential kind {kind!r} (free, harmonic, polynomial)")
 
 
+def _magnetic(args, node: dict, B=_REQUIRED) -> MagneticParams:
+    """Field parameters: each field flag, else its key in node (a config's
+    "magnetic" object), else its default (1.0; B has none unless given)."""
+    return MagneticParams(
+        B=_setting(args.B, node, "B", "magnetic.B", "number", B),
+        e=_setting(args.charge, node, "e", "magnetic.e", "number", 1.0),
+        c=_setting(args.light_speed, node, "c", "magnetic.c", "number", 1.0),
+        M=_setting(args.mass, node, "M", "magnetic.M", "number", 1.0),
+        hbar=_setting(args.hbar, node, "hbar", "magnetic.hbar", "number", 1.0),
+    )
+
+
 # ----------------------------------------------------------------- spectrum
 
 def run_spectrum(args) -> int:
     if args.kind == "distance":
-        params = NcParams(L=_setting(args.L, {}, "L", "--L", "number"), hbar=args.hbar)
+        params = NcParams(L=_setting(args.L, {}, "L", "--L", "number"),
+                          hbar=_setting(args.hbar, {}, "hbar", "--hbar", "number", 1.0))
         values = distance_spectrum(params, _setting(args.dim, {}, "dim", "--dim", "integer"))
     else:
-        n_max = _setting(args.n_max, {}, "n_max", "--n-max", "integer")
-        if args.omega_c is not None and args.B is not None:
-            raise ConfigError("give either --omega-c or --B, not both")
         if args.omega_c is not None:
-            # with e = c = M = 1 the field strength equals the cyclotron frequency
-            params = MagneticParams(B=args.omega_c, e=1.0, c=1.0, M=1.0, hbar=args.hbar)
-        elif args.B is not None:
-            params = MagneticParams(
-                B=args.B, e=args.charge, c=args.light_speed, M=args.mass, hbar=args.hbar
-            )
-        else:
+            if args.B is not None:
+                raise ConfigError("give either --omega-c or --B, not both")
+            ignored = [f"--{name.replace('_', '-')}" for name in ("charge", "light_speed", "mass")
+                       if getattr(args, name) is not None]
+            if ignored:
+                raise ConfigError(f"--omega-c sets e = c = M = 1 and would ignore "
+                                  f"{', '.join(ignored)}; give --B instead")
+        elif args.B is None:
             raise ConfigError("landau spectrum needs --omega-c or --B")
-        values = landau_spectrum(params, n_max)
+        n_max = _setting(args.n_max, {}, "n_max", "--n-max", "integer")
+        # with e = c = M = 1 the field strength equals the cyclotron frequency
+        values = landau_spectrum(_magnetic(args, {}, B=args.omega_c), n_max)
 
     if args.format == "json":
         _emit_json({"kind": args.kind, "values": [float(v) for v in values]}, args.out)
@@ -507,14 +523,7 @@ def run_phase(args) -> int:
 
     mcfg = _setting(None, cfg, "magnetic", "magnetic", "object", None)
     if _setting(args.ab, cfg, "ab", "ab", "boolean", False) or mcfg:
-        mcfg = mcfg or {}
-        mp = MagneticParams(
-            B=_setting(args.B, mcfg, "B", "magnetic.B", "number"),
-            e=_setting(args.charge, mcfg, "e", "magnetic.e", "number", 1.0),
-            c=_setting(args.light_speed, mcfg, "c", "magnetic.c", "number", 1.0),
-            M=_setting(args.mass, mcfg, "M", "magnetic.M", "number", 1.0),
-            hbar=_setting(args.hbar, mcfg, "hbar", "magnetic.hbar", "number", 1.0),
-        )
+        mp = _magnetic(args, mcfg or {})
         phase_ab = aharonov_bohm_phase(mp, loop)
         area_params = NcParams(L=magnetic_length(mp), hbar=mp.hbar)
         phase_area = interference_phase_area(loop, area_params)
@@ -539,23 +548,20 @@ def _complex_table(mat: np.ndarray) -> list:
 def run_algebra(args) -> int:
     dim = _setting(args.dim, {}, "dim", "--dim", "integer")
     if args.kind == "magnetic":
-        params = MagneticParams(
-            B=args.B if args.B is not None else 1.0,
-            e=args.charge, c=args.light_speed, M=args.mass, hbar=args.hbar,
-        )
+        params = _magnetic(args, {}, B=1.0)
         report = cyclotron_algebra(params, dim)
-        l2 = params.L2
     else:
         if args.R is None or args.R <= 0:
             raise ConfigError("dissipative algebra needs --R > 0")
-        params = DissipativeParams(M=args.mass, R=args.R, hbar=args.hbar)
+        params = DissipativeParams(M=_setting(args.mass, {}, "M", "--mass", "number", 1.0),
+                                   R=args.R,
+                                   hbar=_setting(args.hbar, {}, "hbar", "--hbar", "number", 1.0))
         report = kappa_commutator_check(params, dim)
-        l2 = params.L2
     _emit_json(
         {
             "kind": args.kind,
             "dim": report.dim,
-            "length_scale_sq": l2,
+            "length_scale_sq": params.L2,
             "labels": list(report.labels),
             "table": _complex_table(report.leading),
             "artifact": _complex_table(report.artifact),
@@ -627,20 +633,24 @@ def build_parser() -> argparse.ArgumentParser:
         "bracket tables, vortex winding counts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the field flags of spectrum, phase and algebra, with no defaults here:
+    # _magnetic and _setting supply them
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--B", type=float, help="field strength")
+    field.add_argument("--charge", type=float)
+    field.add_argument("--light-speed", dest="light_speed", type=float)
+    field.add_argument("--mass", type=float)
+    field.add_argument("--hbar", type=float)
+    field.add_argument("--out", help="output file (default: stdout)")
 
-    sp = sub.add_parser("spectrum", help="distance or Landau level spectra")
+    sp = sub.add_parser("spectrum", parents=[field], help="distance or Landau level spectra")
     sp.add_argument("--kind", choices=("distance", "landau"), required=True)
     sp.add_argument("--L", type=float, help="length scale (distance spectrum)")
     sp.add_argument("--dim", type=int, help="truncation dimension (distance spectrum)")
-    sp.add_argument("--hbar", type=float, default=1.0)
-    sp.add_argument("--omega-c", dest="omega_c", type=float, help="cyclotron frequency")
-    sp.add_argument("--B", type=float, help="field strength (alternative to --omega-c)")
-    sp.add_argument("--charge", type=float, default=1.0)
-    sp.add_argument("--light-speed", dest="light_speed", type=float, default=1.0)
-    sp.add_argument("--mass", type=float, default=1.0)
+    sp.add_argument("--omega-c", dest="omega_c", type=float,
+                    help="cyclotron frequency (alternative to --B; sets e = c = M = 1)")
     sp.add_argument("--n-max", dest="n_max", type=int, help="highest level index")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", help="output file (default: stdout)")
     sp.set_defaults(func=run_spectrum)
 
     ev = sub.add_parser("evolve", help="integrate the doubled-coordinate dynamics")
@@ -666,33 +676,22 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", help="trajectory CSV file (default: stdout)")
     ev.set_defaults(func=run_evolve)
 
-    ph = sub.add_parser("phase", help="interference phases by area, action, flux, or winding")
+    ph = sub.add_parser("phase", parents=[field],
+                        help="interference phases by area, action, flux, or winding")
     ph.add_argument("--config", help="JSON config file (schema_version 1)")
     ph.add_argument("--loop", help="loop vertex CSV")
     ph.add_argument("--L", type=float, help="length scale for the area route")
-    ph.add_argument("--hbar", type=float)
     ph.add_argument("--path1", help="phase-space path CSV (action route)")
     ph.add_argument("--path2", help="phase-space path CSV (action route)")
     ph.add_argument("--ab", action="store_true", default=None,
                     help="flux route: use field parameters")
-    ph.add_argument("--B", type=float, help="field strength (flux route)")
-    ph.add_argument("--charge", type=float)
-    ph.add_argument("--light-speed", dest="light_speed", type=float)
-    ph.add_argument("--mass", type=float)
     ph.add_argument("--scene", help="vortex scene JSON (winding route)")
-    ph.add_argument("--out")
     ph.set_defaults(func=run_phase)
 
-    al = sub.add_parser("algebra", help="pairwise commutator tables")
+    al = sub.add_parser("algebra", parents=[field], help="pairwise commutator tables")
     al.add_argument("--kind", choices=("magnetic", "dissipative"), required=True)
     al.add_argument("--dim", type=int, help="single-factor truncation dimension")
-    al.add_argument("--B", type=float, help="field strength (magnetic)")
-    al.add_argument("--charge", type=float, default=1.0)
-    al.add_argument("--light-speed", dest="light_speed", type=float, default=1.0)
-    al.add_argument("--mass", type=float, default=1.0)
     al.add_argument("--R", type=float, help="friction constant (dissipative)")
-    al.add_argument("--hbar", type=float, default=1.0)
-    al.add_argument("--out")
     al.set_defaults(func=run_algebra)
 
     vx = sub.add_parser("vortex", help="winding phase and circulation for a vortex scene")

@@ -48,7 +48,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operator_core import CommutatorReport, NcParams, build_xy, commutator_table, tensor_operators
+from .operator_core import (
+    CommutatorReport, NcParams, build_xy, commutator_table, require_dim, tensor_operators,
+)
 
 __all__ = [
     "Potential",
@@ -125,14 +127,29 @@ class Potential:
         return acc
 
     def derivative(self, x):
-        if self.kind == "free":
-            return 0.0
-        if self.kind == "harmonic":
-            return self.k * x
+        return _force(self)(x)
+
+
+def _force(potential: Potential):
+    """U' as a function of a float or an array: the one implementation,
+    built once per integration run and called at every RK4 stage.
+
+    The polynomial form precomputes the products n * c_n and runs Horner's
+    steps from acc = 0.0, so its first step is 0.0 * x + n * c_n.
+    """
+    if potential.kind == "free":
+        return lambda x: 0.0
+    if potential.kind == "harmonic":
+        k = potential.k
+        return lambda x: k * x
+    terms = [n * c for n, c in enumerate(potential.coeffs)][:0:-1]
+
+    def du(x):
         acc = 0.0
-        for n in range(len(self.coeffs) - 1, 0, -1):
-            acc = acc * x + n * self.coeffs[n]
+        for c in terms:
+            acc = acc * x + c
         return acc
+    return du
 
 
 @dataclass(frozen=True)
@@ -191,7 +208,7 @@ def eom_rhs(state: TwoCoordState, params: DissipativeParams):
     v_minus and vice versa.  That is what makes the doubled system
     conservative while its diagonal is damped.
     """
-    du = params.potential.derivative
+    du = _force(params.potential)
     return (
         state.v_plus,
         state.v_minus,
@@ -211,16 +228,6 @@ class DivergenceError(RuntimeError):
 
 # steps per finiteness check, and per copy of plain floats into the array
 _BLOCK_STEPS = 4096
-
-
-def _derivative_fn(potential: Potential):
-    """U' as a plain function of one float, with the operations of Potential.derivative."""
-    if potential.kind == "free":
-        return lambda x: 0.0
-    if potential.kind == "harmonic":
-        k = potential.k
-        return lambda x: k * x
-    return potential.derivative
 
 
 def _integrate(initial: TwoCoordState, params: DissipativeParams, dt: float, steps: int,
@@ -243,7 +250,7 @@ def _integrate(initial: TwoCoordState, params: DissipativeParams, dt: float, ste
 
     m = params.M
     r = params.R
-    du = _derivative_fn(params.potential)
+    du = _force(params.potential)
     t0, xp, xm, vp, vm = (float(v) for v in fields)
     out = np.empty((steps + 1, 5))
     out[:, 0] = t0 + np.arange(steps + 1) * dt
@@ -522,7 +529,7 @@ def kappa_commutator_check(params: DissipativeParams, dim: int) -> CommutatorRep
     artifact isolated on the last level.  Computed on the dim x dim ladder
     factors; the mixed-factor entries are exact zeros.  Requires dim >= 3.
     """
-    return commutator_table(_doubled_factors(params, dim), dim)
+    return commutator_table(_doubled_factors(params, require_dim(dim, minimum=3)), dim)
 
 
 def validate_density_matrix(rho, tol: float = 1e-12) -> np.ndarray:

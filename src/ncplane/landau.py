@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator_core import CommutatorReport, NcParams, build_xy, commutator_table, tensor_operators
+from .operator_core import (
+    CommutatorReport, NcParams, build_xy, commutator_table, require_dim, tensor_operators,
+)
 from .phase_geometry import signed_area
 
 __all__ = [
@@ -116,7 +118,7 @@ def cyclotron_algebra(params: MagneticParams, dim: int) -> CommutatorReport:
     Computed on the dim x dim ladder factors; the cross-factor entries are
     exact zeros.  Requires dim >= 3.
     """
-    return commutator_table(_cyclotron_factors(params, dim), dim)
+    return commutator_table(_cyclotron_factors(params, require_dim(dim, minimum=3)), dim)
 
 
 def flux_quantization(params: MagneticParams, n_max: int) -> list[tuple[float, float]]:

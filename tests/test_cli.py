@@ -480,6 +480,39 @@ def test_algebra_dissipative_requires_friction(capsys):
     assert "xi_plus" in json.loads(out)["labels"]
 
 
+@pytest.mark.parametrize("kind", ["magnetic", "dissipative"])
+@pytest.mark.parametrize("dim", ["1", "2"])
+def test_algebra_small_dim_names_the_table_minimum(kind, dim, capsys):
+    # the table needs dim >= 3; that check runs before the factors are built
+    code, out, err = run_cli(["algebra", "--kind", kind, "--dim", dim, "--R", "0.5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"dim must be >= 3, got {dim}" in err
+
+
+def test_spectrum_omega_c_names_the_field_flags_it_would_ignore(capsys):
+    landau = ["spectrum", "--kind", "landau"]
+    code, out, err = run_cli([*landau, "--omega-c", "2", "--charge", "5", "--mass", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--omega-c sets e = c = M = 1 and would ignore --charge, --mass" in err
+    code, out, err = run_cli([*landau, "--omega-c", "2", "--light-speed", "3", "--n-max", "1"],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert "would ignore --light-speed;" in err
+    code, _, err = run_cli([*landau, "--charge", "5", "--n-max", "1"], capsys)
+    assert code == 2
+    assert "landau spectrum needs --omega-c or --B" in err
+    # --hbar is not fixed by --omega-c, and --B takes the particle constants
+    code, out, _ = run_cli([*landau, "--omega-c", "2", "--hbar", "0.5", "--n-max", "0",
+                            "--format", "json"], capsys)
+    assert (code, json.loads(out)["values"]) == (0, [0.5])
+    code, out, _ = run_cli([*landau, "--B", "2", "--charge", "3", "--mass", "6", "--n-max", "0",
+                            "--format", "json"], capsys)
+    assert (code, json.loads(out)["values"]) == (0, [0.5])
+
+
 def test_vortex_scene_with_core(tmp_path, capsys):
     scene = {
         "core_loop": [[0, 0], [2, 0], [2, 2], [0, 2]],

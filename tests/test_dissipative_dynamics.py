@@ -5,7 +5,9 @@ For the free and harmonic potentials the doubled system is linear, so its
 exact propagator expm(A t) is the oracle for the RK4 trajectory array.
 """
 
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -391,6 +393,58 @@ def test_bohr_frequencies_needs_enough_samples():
 
 
 # ------------------------------------------------------- trajectory arrays
+
+
+def horner_derivative(coeffs, x):
+    """U'(x) of a polynomial by the loop Potential.derivative ran before the
+    force became one precomputed closure; the reference for its bits."""
+    acc = 0.0
+    for n in range(len(coeffs) - 1, 0, -1):
+        acc = acc * x + n * coeffs[n]
+    return acc
+
+
+def same_bits(got, want):
+    return type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+coefficient = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=300)
+@given(coeffs=st.lists(coefficient, min_size=1, max_size=7), x=st.floats(),
+       xs=st.lists(st.floats(), max_size=6))
+@example(coeffs=[0.0, -0.0], x=-0.0, xs=[0.0, -0.0])
+@example(coeffs=[1.0, 0.0, -0.0, 2.0], x=-0.0, xs=[-0.0, 0.0, -1.5])
+@example(coeffs=[0.5], x=2.0, xs=[1.0, -0.0])
+def test_polynomial_force_has_the_bits_of_the_horner_loop(coeffs, x, xs):
+    potential = Potential.polynomial(coeffs)
+    arr = np.array(xs, dtype=float)
+    with np.errstate(all="ignore"):
+        assert same_bits(potential.derivative(x), horner_derivative(coeffs, x))
+        assert same_bits(potential.derivative(arr), horner_derivative(coeffs, arr))
+
+
+def test_free_and_harmonic_forces():
+    arr = np.array([-1.5, -0.0, 0.0, 2.0])
+    assert same_bits(Potential.free().derivative(arr), 0.0)
+    assert same_bits(Potential.free().derivative(-0.0), 0.0)
+    assert same_bits(Potential.harmonic(1.3).derivative(arr), 1.3 * arr)
+    assert same_bits(Potential.harmonic(1.3).derivative(-0.0), 1.3 * -0.0)
+
+
+@pytest.mark.parametrize("potential", [Potential.free(), Potential.harmonic(1.3),
+                                       Potential.polynomial([0.1, -0.3, 0.5, 0.05, 0.25])])
+def test_potential_pickles_and_compares_equal_after_use(potential):
+    before = (potential.kind, potential.k, potential.coeffs)
+    potential.derivative(0.7)
+    potential.derivative(np.array([0.7, -1.0]))
+    copy = pickle.loads(pickle.dumps(potential))
+    assert copy == potential
+    assert hash(copy) == hash(potential)
+    assert [f.name for f in dataclasses.fields(copy)] == ["kind", "k", "coeffs"]
+    assert (copy.kind, copy.k, copy.coeffs) == before
+    assert same_bits(copy.derivative(0.7), potential.derivative(0.7))
 
 
 def linear_generator(m, r, k):
