@@ -31,9 +31,3 @@ def test_every_root_name_is_the_module_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(ncplane, name) is getattr(module, name), name
-
-
-def test_star_import_gives_exactly_all():
-    namespace = {}
-    exec("from ncplane import *", namespace)
-    assert set(namespace) - {"__builtins__"} == set(ncplane.__all__)

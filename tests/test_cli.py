@@ -504,13 +504,6 @@ def test_spectrum_omega_c_names_the_field_flags_it_would_ignore(capsys):
     code, _, err = run_cli([*landau, "--charge", "5", "--n-max", "1"], capsys)
     assert code == 2
     assert "landau spectrum needs --omega-c or --B" in err
-    # --hbar is not fixed by --omega-c, and --B takes the particle constants
-    code, out, _ = run_cli([*landau, "--omega-c", "2", "--hbar", "0.5", "--n-max", "0",
-                            "--format", "json"], capsys)
-    assert (code, json.loads(out)["values"]) == (0, [0.5])
-    code, out, _ = run_cli([*landau, "--B", "2", "--charge", "3", "--mass", "6", "--n-max", "0",
-                            "--format", "json"], capsys)
-    assert (code, json.loads(out)["values"]) == (0, [0.5])
 
 
 def test_vortex_scene_with_core(tmp_path, capsys):
