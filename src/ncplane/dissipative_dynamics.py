@@ -42,6 +42,7 @@ off-diagonal entries.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -532,26 +533,50 @@ def kappa_commutator_check(params: DissipativeParams, dim: int) -> CommutatorRep
     return commutator_table(_doubled_factors(params, require_dim(dim, minimum=3)), dim)
 
 
+@functools.lru_cache(maxsize=8)
+def _strict_upper(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns, flat indices and mirrored flat indices (j, i) of the
+    strict upper triangle of a C-ordered d x d matrix; read-only."""
+    rows, cols = np.triu_indices(d, 1)
+    index = (rows, cols, rows * d + cols, cols * d + rows)
+    for a in index:
+        a.setflags(write=False)
+    return index
+
+
 def validate_density_matrix(rho, tol: float = 1e-12) -> np.ndarray:
-    """Check Hermiticity and unit trace, returning a complex array copy."""
-    arr = np.array(rho, dtype=complex)
+    """Check Hermiticity and unit trace, returning a C-ordered complex copy.
+
+    The Hermiticity defect is max |rho - rho^dagger|; a NaN or inf entry
+    makes it NaN, which fails the check like any defect above tol.
+    """
+    arr = np.array(rho, dtype=complex, order="C")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {arr.shape}")
-    defect = float(np.abs(arr - arr.conj().T).max())
-    if defect > tol:
+    diff = np.conjugate(arr.T, order="C")
+    with np.errstate(invalid="ignore"):  # inf - inf: reported below
+        diff -= arr
+    defect = float(np.abs(diff).max(initial=0.0))
+    if math.isnan(defect):
+        raise ValueError("density matrix has non-finite entries")
+    if not defect <= tol:
         raise ValueError(f"density matrix is not Hermitian: defect {defect:g} > {tol:g}")
-    tr = complex(np.trace(arr))
-    if abs(tr - 1.0) > tol:
+    tr = complex(arr.trace())
+    if not abs(tr - 1.0) <= tol:
         raise ValueError(f"density matrix trace must be 1, got {tr}")
     return arr
 
 
 def evolve_density(energies, rho0, t: float, hbar: float = 1.0) -> np.ndarray:
-    """Dephasing evolution rho_fi(t) = exp(-i (E_f - E_i) t / hbar) rho_fi(0).
+    """Dephasing evolution rho(t) = U rho0 U^dagger, U = diag(exp(-i E t / hbar)).
 
     energies are the eigenvalues of the single-copy Hamiltonian in the
-    basis rho0 is written in.  Populations (the diagonal) are untouched,
-    so trace and Hermiticity survive exactly.
+    basis rho0 is written in, so entry (f, i) turns by
+    exp(-i (E_f - E_i) t / hbar).  A call costs d complex exps, not d^2:
+    the phases u_f conj(u_i) are formed on the strict upper triangle only,
+    and the lower triangle is the conjugate of the upper one.  The output is
+    therefore exactly Hermitian, and the populations (the diagonal) are
+    copied untouched, so the trace is exact too.
     """
     e = np.asarray(energies, dtype=float)
     rho = validate_density_matrix(rho0)
@@ -560,10 +585,41 @@ def evolve_density(energies, rho0, t: float, hbar: float = 1.0) -> np.ndarray:
             f"energies must be a 1-d array matching the density dimension "
             f"{rho.shape[0]}, got shape {e.shape}"
         )
+    if not np.isfinite(e).all():
+        raise ValueError(f"energies must be finite, got {e}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if not (hbar > 0 and math.isfinite(hbar)):
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
-    omega = (e[:, None] - e[None, :]) / hbar
-    return np.exp(-1j * omega * t) * rho
+    rows, cols, upper, lower = _strict_upper(rho.shape[0])
+    u = np.exp(-1j * (e * (t / hbar)))
+    coherences = u.take(rows) * u.conj().take(cols)
+    coherences *= rho.take(upper)
+    flat = rho.reshape(-1)
+    flat[upper] = coherences
+    flat[lower] = coherences.conj()
+    return rho
+
+
+# complex values per FFT block in bohr_frequencies (2 MB)
+_FFT_BLOCK = 1 << 17
+
+
+def _stack_sample(rhos, k: int, d: int | None = None) -> np.ndarray:
+    """Sample k of a (samples, d, d) stack as a complex array, or a
+    ValueError naming k; d=None takes d from the sample."""
+    try:
+        arr = np.asarray(rhos[k], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"rhos must be a (samples, d, d) stack: sample {k}: {exc}") from None
+    if d is None and arr.ndim == 2:
+        d = arr.shape[0]
+    if arr.shape != (d, d):
+        raise ValueError(
+            f"rhos must be a (samples, d, d) stack: sample {k} has shape {arr.shape}"
+            + (f", sample 0 has {(d, d)}" if k else "")
+        )
+    return arr
 
 
 def bohr_frequencies(rhos, dt: float, threshold: float = 0.1) -> np.ndarray:
@@ -577,14 +633,23 @@ def bohr_frequencies(rhos, dt: float, threshold: float = 0.1) -> np.ndarray:
     accurate to one DFT bin (2 pi / (N dt)).  A record with no rotating
     off-diagonal content returns an empty array.
 
+    The samples are taken to be Hermitian: only their strict upper
+    triangles are read, gathered one sample at a time into one
+    (samples, d(d-1)/2) array, and entry (j, i) adds the power of (i, j)
+    at the mirrored bin, P_ji(k) = P_ij(-k).  The FFTs run on blocks of
+    columns, so memory stays near that array's size, and the input is not
+    modified.
+
     Needs at least 64 samples, and the record should span at least two
     periods of the slowest transition (unverifiable here; shorter records
     smear the low-frequency peaks).
     """
-    arr = np.asarray(rhos, dtype=complex)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ValueError(f"rhos must be a (samples, d, d) stack, got shape {arr.shape}")
-    n = arr.shape[0]
+    try:
+        n = len(rhos)
+    except TypeError:
+        raise ValueError(
+            f"rhos must be a (samples, d, d) stack, got {type(rhos).__name__}"
+        ) from None
     if n < 64:
         raise ValueError(
             f"need at least 64 uniform samples spanning two periods of the slowest "
@@ -594,32 +659,37 @@ def bohr_frequencies(rhos, dt: float, threshold: float = 0.1) -> np.ndarray:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not (0 < threshold <= 1):
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    d = arr.shape[1]
+    d = _stack_sample(rhos, 0).shape[0]
+    upper = _strict_upper(d)[2]
+    entries = np.empty((n, upper.size), dtype=complex)
+    for k in range(n):
+        _stack_sample(rhos, k, d).take(upper, out=entries[k])
+    # the lower triangle holds as much power as the upper one
+    raw_power = 2.0 * float(np.vdot(entries, entries).real)
+    mean = entries.mean(axis=0)
     window = np.hanning(n)
-    power = np.zeros(n)
-    raw_power = 0.0
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            s = arr[:, i, j]
-            raw_power += float(np.sum(np.abs(s) ** 2))
-            s = s - s.mean()
-            power += np.abs(np.fft.fft(s * window)) ** 2
+    cols = max(1, _FFT_BLOCK // n)
+    block = np.empty((min(cols, upper.size), n), dtype=complex)
+    squares = np.zeros(2 * n)
+    for a in range(0, upper.size, cols):
+        x = block[: min(cols, upper.size - a)]
+        np.subtract(entries[:, a : a + cols].T, mean[a : a + cols, None], out=x)
+        x *= window
+        # re^2 and im^2 of each bin side by side, summed over the block's entries
+        spectrum = np.fft.fft(x).view(float)
+        spectrum *= spectrum
+        squares += spectrum.sum(axis=0)
+    upper_power = squares[0::2] + squares[1::2]
+    # add the lower entries, P_ji(k) = P_ij(-k); index -k is bin n - k
+    power = upper_power + upper_power[-np.arange(n)]
     # fold negative-frequency bins onto positive ones; bin 0 (DC) dropped
     half = n // 2
     m = (n - 1) // 2
     folded = power[1 : half + 1].copy()
     folded[:m] += power[: n - m - 1 : -1]
-    pmax = float(folded.max()) if folded.size else 0.0
+    pmax = float(folded.max())
     if pmax <= 1e-24 * n * max(raw_power, 1.0):
         return np.array([])
-    floor = threshold * pmax
-    freqs = []
-    bin_width = 2.0 * math.pi / (n * dt)
-    for k in range(folded.size):
-        left = folded[k - 1] if k > 0 else -np.inf
-        right = folded[k + 1] if k + 1 < folded.size else -np.inf
-        if folded[k] >= floor and folded[k] >= left and folded[k] >= right:
-            freqs.append((k + 1) * bin_width)
-    return np.array(freqs)
+    padded = np.concatenate(([-np.inf], folded, [-np.inf]))
+    peaks = (folded >= threshold * pmax) & (folded >= padded[:-2]) & (folded >= padded[2:])
+    return (np.flatnonzero(peaks) + 1) * (2.0 * math.pi / (n * dt))
