@@ -27,7 +27,12 @@ harmonic and quartic potentials, canonical columns on and off (by default,
 by flag, and by "canonical": false in a config), starts on the diagonal
 (which add `classical_residual` and `max_diagonal_split`) and off it, R = 0,
 one- and two-step runs, a negative-zero velocity, and both the flag and the
---config forms; their configs are under tests/golden/evolve/.  Three long
+--config forms; their configs are under tests/golden/evolve/.  Six more
+cases, recorded from the last per-value `%.17g` writer, pin the CSV number
+layout: starts scaled by 1e-6, 1e-300 and 1e150 (exponent-form cells with
+two- and three-digit exponents), a v- of 123456789012345678 (`e+17` and
+`e+33`/`e+35` cells), exact 17-digit ties at 1.17e15 + k/4, and integers
+around 1e16 and 1e17 whose integer part ends in zeros.  Three long
 runs (up to the 1e5-step harmonic --canonical run) are too big to commit:
 their CSV is held by its sha256, their stdout in full.
 
@@ -166,6 +171,32 @@ EVOLVE_CASES = {
                                    "--canonical", "--steps", "30", "--v-minus", "0.2"],
     "free-config-diag": ["evolve", "--config", "@free_diag.json"],
     "r0-config-harmonic-diag": ["evolve", "--config", "@r0_harmonic.json"],
+    # the harmonic canonical run above with its start scaled by 1e-6, 1e-300 and 1e150
+    "scaled-1e-6-canonical": ["evolve", "--M", "1.0", "--R", "0.2", *_HARMONIC,
+                              "--x-plus", "6.113e-7", "--x-minus=-2.871e-7",
+                              "--v-plus", "9.402e-7", "--v-minus=-5.516e-7",
+                              "--dt", "0.05", "--steps", "40", "--canonical"],
+    "scaled-1e-300-canonical": ["evolve", "--M", "1.0", "--R", "0.2", *_HARMONIC,
+                                "--x-plus", "6.113e-301", "--x-minus=-2.871e-301",
+                                "--v-plus", "9.402e-301", "--v-minus=-5.516e-301",
+                                "--dt", "0.05", "--steps", "40", "--canonical"],
+    "scaled-1e150-canonical": ["evolve", "--M", "1.0", "--R", "0.2", *_HARMONIC,
+                               "--x-plus", "6.113e149", "--x-minus=-2.871e149",
+                               "--v-plus", "9.402e149", "--v-minus=-5.516e149",
+                               "--dt", "0.05", "--steps", "40", "--canonical"],
+    "v-minus-1e17-canonical": ["evolve", "--M", "1.0", "--R", "0.3", *_FREE,
+                               "--x-plus", "0.5", "--v-minus", "123456789012345678",
+                               "--dt", "0.01", "--steps", "30", "--canonical"],
+    # x+ = 1.17e15 + k/4 holds exact ties at 17 digits; x- crosses 1e16
+    "r0-free-ties-1e15": ["evolve", "--M", "1.0", "--R", "0", *_FREE,
+                          "--x-plus", "1170000000000000", "--x-minus", "9999999999999990",
+                          "--v-plus", "0.25", "--v-minus", "4", "--dt", "1", "--steps", "40"],
+    # integers with zeros in the integer part; x- crosses 1e17
+    "r0-free-integers-1e16-1e17": ["evolve", "--M", "1.0", "--R", "0", *_FREE,
+                                   "--x-plus", "14791378337711040",
+                                   "--x-minus", "99999999999999900",
+                                   "--v-plus", "160", "--v-minus", "16", "--dt", "1",
+                                   "--steps", "20"],
 }
 # long runs: CSV held by sha256; the first is shaped like the benchmark's run
 EVOLVE_SHA_CASES = {
