@@ -81,7 +81,7 @@ EXIT_IO = 3
 EXIT_DIVERGED = 4
 
 SCHEMA_VERSION = 1
-CSV_BLOCK_ROWS = 4096
+CSV_BLOCK_ROWS = 1024
 EVOLVE_HEADER = {
     False: "t,x_plus,x_minus,v_plus,v_minus,hamiltonian",
     True: "t,x_plus,x_minus,v_plus,v_minus,xi_plus,xi_minus,X_plus,X_minus,hamiltonian,"
@@ -101,19 +101,176 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _emit_csv(header: str, table: np.ndarray, out_path: str | None) -> None:
-    """Header line, then one row of %.17g values per table row.
+# ----------------------------------------------------------------- CSV text
+# A value's 17-digit decimal significand D = round(|x| 10^(16-E)) is computed
+# exactly in vectorised float64 and int64 arithmetic: 10^(16-E) is held as a
+# double-double (hi, lo), and |x| times it as p + lo by Dekker's TwoProduct
+# (Numer. Math. 18 (1971) 224) with a Veltkamp split.  p + lo is off by less
+# than 1e-14 on a significand below 1e17, so the kernel rounds every value
+# whose fraction lies farther than _TIE_MARGIN from 1/2.  The rest (near-ties,
+# magnitudes outside the power table's window, NaN and infinities) go through
+# "%.17g" itself, in one batched format per block.
+#
+# A cell's text is laid out in a template of _SLOTS bytes: the sign, the 17
+# digits (_INT), "0." and three "0"s (fixed form below 1), the 17 digits again
+# (_FRAC), "e", both exponent signs, three exponent digits and the separator.
+# A per-cell mask, looked up by (layout, last nonzero digit, sign), keeps the
+# bytes "%.17g" prints: the digits before the decimal point from _INT, those
+# after it from _FRAC, so that the kept bytes form a few runs, which numpy
+# compacts fast.  The masked bytes of a block are its text.
 
-    Rows are formatted CSV_BLOCK_ROWS at a time by one %-format each;
-    "%.17g" % x gives the bytes of format(x, ".17g").
+_TIE_MARGIN = 2.0 ** -40
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's constant
+# decimal exponents of the power table, and the |x| window the kernel decides
+# (its first exponent estimate may be one off at either end of the window)
+_E_MIN, _E_MAX = -291, 290
+_X_MIN, _X_MAX = 1e-290, 1e290
+_D_MIN, _D_MAX = 10**16, 10**17
+_SIGN, _INT, _ZERO, _POINT, _LEAD, _FRAC, _EXP, _SEP = 0, 1, 18, 19, 20, 23, 40, 46
+_SLOTS = _SEP + 1
+# layouts: fixed form for E in [-4, 16] (E + 4), exponent form
+# (_EXP_FORM + 2 (E < 0) + (|E| >= 100)), zero
+_EXP_FORM, _ZERO_FORM = 21, 25
+
+
+@functools.lru_cache(maxsize=1)
+def _powers_of_ten() -> tuple:
+    """Arrays hi, lo, hi_high, hi_low of 10^(16-E) for E in [_E_MIN, _E_MAX].
+
+    hi is 10^(16-E) correctly rounded and lo the rounded remainder, both
+    from exact integers; hi_high + hi_low is hi split into 26-bit halves.
     """
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    rows = []
+    for k in range(16 - _E_MIN, 15 - _E_MAX, -1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi = num / den  # int / int is correctly rounded
+        a, b = hi.as_integer_ratio()
+        lo = (num * b - a * den) / (den * b)
+        mant, exp = math.frexp(hi)
+        m = int(mant * 2**53)
+        m_high = (m + 2**26) >> 27 << 27
+        rows.append((hi, lo, math.ldexp(m_high, exp - 53), math.ldexp(m - m_high, exp - 53)))
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+@functools.lru_cache(maxsize=1)
+def _csv_tables() -> tuple:
+    """The 4-digit groups as uint32 character quads, the index of each
+    group's last nonzero digit, the 3-digit exponents, the blank template
+    and the masks of every (layout, last nonzero digit, sign)."""
+    g = np.arange(10000)
+    quads = np.stack((g // 1000, g // 100 % 10, g // 10 % 10, g % 10), axis=1) + 48
+    quads = quads.astype(np.uint8).view(np.uint32).ravel()
+    last4 = np.where(g % 10, 3, np.where(g % 100, 2, np.where(g % 1000, 1,
+                                                              np.where(g, 0, -99))))
+    e = np.arange(1000)
+    exp_digits = (np.stack((e // 100, e // 10 % 10, e % 10), axis=1) + 48).astype(np.uint8)
+    template = np.frombuffer(b"-" + b"0" * 17 + b"0.000" + b"0" * 17 + b"e+-000,", np.uint8)
+
+    form = np.arange(_ZERO_FORM + 1)[:, None, None, None]
+    last = np.arange(17)[None, :, None, None]
+    neg = np.arange(2)[None, None, :, None] == 1
+    s = np.arange(_SLOTS)
+    E = form - 4
+    fixed, zero = form < _EXP_FORM, form == _ZERO_FORM
+    expo = ~fixed & ~zero
+    small = fixed & (E < 0)
+    point = np.where(fixed, E, 0)  # the index of the last digit before the point
+    i, f = s - _INT, s - _FRAC
+    exp_neg, exp_wide = (form - _EXP_FORM) // 2 == 1, (form - _EXP_FORM) % 2 == 1
+    keep = np.zeros((_ZERO_FORM + 1, 17, 2, _SLOTS), bool)
+    keep |= ((s == _SIGN) & neg) | (s == _SEP) | ((s == _ZERO) & (zero | small))
+    keep |= (i >= 0) & (i <= point) & ~small & ~zero
+    keep |= (s == _POINT) & ~zero & (small | (last > point))
+    keep |= (s >= _LEAD) & (s < _FRAC) & small & (s - _LEAD < -E - 1)
+    keep |= (f >= 0) & (f <= last) & ~zero & (small | (f > point))
+    keep |= expo & ((s == _EXP) | (s == _EXP + 1) & ~exp_neg | (s == _EXP + 2) & exp_neg
+                    | (s == _EXP + 3) & exp_wide | (s > _EXP + 3) & (s < _SEP))
+    return quads, last4, exp_digits, template, keep.reshape(-1, _SLOTS)
+
+
+def _scaled(ax: np.ndarray, e: np.ndarray):
+    """ax * 10^(16-e) as p + lo with p = fl(ax * hi) (Dekker's TwoProduct)."""
+    hi, lo, hi_high, hi_low = (np.take(column, e - _E_MIN) for column in _powers_of_ten())
+    p = ax * hi
+    c = _SPLIT * ax
+    a_high = c - (c - ax)
+    a_low = ax - a_high
+    err = ((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
+    return p, err + ax * lo
+
+
+def _csv_cells(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The bytes of "%.17g" % v for each v in x, each followed by the
+    separator byte of its row of buf, a (len(x), _SLOTS) template."""
+    quads, last4, exp_digits, template, keep = _csv_tables()
+    ax = np.abs(x)
+    window = (ax >= _X_MIN) & (ax < _X_MAX)  # False for NaN
+    ax = np.where(window, ax, 1.0)
+    E = np.floor(np.log10(ax)).astype(np.int64)
+    p, lo = _scaled(ax, E)
+    # E from the unrounded p + lo: near a power of ten p alone rounds to 1e16 or 1e17
+    low = (p < 1e16) | (p == 1e16) & (lo < 0)
+    high = (p > 1e17) | (p == 1e17) & (lo >= 0)
+    off = np.flatnonzero(low | high)
+    if off.size:
+        E[off] += high[off].astype(np.int64) - low[off]
+        p[off], lo[off] = _scaled(ax[off], E[off])
+    floor = np.floor(lo)
+    frac = lo - floor
+    D = p.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
+    carry = D == _D_MAX
+    D[carry] = _D_MIN
+    E += carry
+    decided = window & (np.abs(frac - 0.5) > _TIE_MARGIN) & (D >= _D_MIN) & (D < _D_MAX)
+    D = np.where(decided, D, _D_MIN)
+
+    lead, rest = np.divmod(D, 10**16)
+    upper, lower = np.divmod(rest, 10**8)
+    digits = np.empty((len(x), 5), np.uint32)
+    last = np.zeros(len(x), np.int64)
+    for k, g in enumerate((*np.divmod(upper, 10**4), *np.divmod(lower, 10**4)), 1):
+        digits[:, k] = quads[g]
+        np.maximum(last, last4[g] + (4 * k - 3), out=last)
+    digits = digits.view(np.uint8)[:, 3:]
+    digits[:, 0] = lead + 48
+    buf[:, _INT:_ZERO] = digits
+    buf[:, _FRAC:_EXP] = digits
+
+    expo = (E < -4) | (E > 16)
+    form = np.where(expo, _EXP_FORM + 2 * (E < 0) + (np.abs(E) >= 100), E + 4)
+    form[x == 0] = _ZERO_FORM
+    if expo.any():
+        buf[:, _EXP + 3:_SEP] = exp_digits[np.abs(E)]
+    mask = np.take(keep, (form * 17 + last) * 2 + np.signbit(x), axis=0)
+
+    slow = np.flatnonzero(~decided & (x != 0))
+    if slow.size:
+        text = ("%-24.17g" * slow.size % tuple(x[slow].tolist())).encode()
+        chars = np.frombuffer(text, np.uint8).reshape(-1, 24)
+        buf[slow, :24] = chars
+        mask[slow, :_SEP] = False
+        mask[slow, :24] = chars != ord(" ")
+    out = buf[mask]
+    if slow.size:
+        buf[slow, :_SEP] = template[:_SEP]
+    return out
+
+
+def _emit_csv(header: str, table: np.ndarray, out_path: str | None) -> None:
+    """Header line, then one row per table row, each value as "%.17g" % value
+    writes it; rows are formatted CSV_BLOCK_ROWS at a time."""
+    rows, cols = table.shape
+    block = max(1, min(rows, CSV_BLOCK_ROWS))
+    buf = np.tile(_csv_tables()[3], (block, cols, 1))
+    buf[:, -1, _SEP] = ord("\n")
+    buf = buf.reshape(block * cols, _SLOTS)
     with (contextlib.nullcontext(sys.stdout) if out_path is None
           else open(out_path, "w", newline="")) as fh:
         fh.write(header + "\n")
-        for lo in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[lo:lo + CSV_BLOCK_ROWS]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+        for lo in range(0, rows, block):
+            x = np.ascontiguousarray(table[lo:lo + block], dtype=float).ravel()
+            fh.write(_csv_cells(x, buf[:len(x)]).tobytes().decode("ascii"))
 
 
 def _require_finite(header: str, table: np.ndarray) -> None:
