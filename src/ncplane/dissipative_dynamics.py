@@ -585,14 +585,21 @@ def evolve_density(energies, rho0, t: float, hbar: float = 1.0) -> np.ndarray:
             f"energies must be a 1-d array matching the density dimension "
             f"{rho.shape[0]}, got shape {e.shape}"
         )
-    if not np.isfinite(e).all():
+    e_max = float(np.abs(e).max())  # NaN or inf when an energy is
+    if not math.isfinite(e_max):
         raise ValueError(f"energies must be finite, got {e}")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     if not (hbar > 0 and math.isfinite(hbar)):
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
+    scale = t / hbar
+    if not math.isfinite(e_max * scale):  # then every E t / hbar is finite
+        k = int(np.argmax(np.abs(e))) if math.isfinite(scale) else 0
+        raise ValueError(
+            f"the phase E t / hbar must be finite, got {e[k]} * {t} / {hbar} for energy {k}"
+        )
     rows, cols, upper, lower = _strict_upper(rho.shape[0])
-    u = np.exp(-1j * (e * (t / hbar)))
+    u = np.exp(-1j * (e * scale))
     coherences = u.take(rows) * u.conj().take(cols)
     coherences *= rho.take(upper)
     flat = rho.reshape(-1)

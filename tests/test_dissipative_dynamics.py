@@ -354,6 +354,20 @@ def test_evolve_density_rejects_non_finite_input(energies, t, name):
             evolve_density(energies, np.full((2, 2), 0.5), t)
 
 
+@pytest.mark.parametrize("energies, t, hbar, bad", [
+    ([0.0, 1e300], 1e10, 1.0, "1e+300 * 10000000000.0 / 1.0 for energy 1"),
+    ([-1e300, 0.0], 1e10, 1.0, "for energy 0"),
+    ([0.0, 1.0], 1e300, 1e-10, "0.0 * 1e+300 / 1e-10 for energy 0"),
+])
+def test_evolve_density_rejects_an_overflowing_phase(energies, t, hbar, bad):
+    # each input is finite; their product E t / hbar is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="phase E t / hbar must be finite") as err:
+            evolve_density(energies, np.full((2, 2), 0.5), t, hbar)
+    assert bad in str(err.value)
+
+
 def test_evolve_density_phases():
     energies = np.array([0.0, 1.0])
     rho0 = np.full((2, 2), 0.5)
