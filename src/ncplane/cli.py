@@ -323,7 +323,46 @@ def _load_json(path: str):
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _load_config(path: str) -> dict:
+# the keys a config of each command may hold, over all of its routes; a dict
+# value lists the keys of an object, None stands for any other value
+_SCENE_KEYS = dict.fromkeys(("core_loop", "atoms", "sigma", "density"))
+_CONFIG_KEYS = {
+    "evolve": {
+        "params": {"M": None, "R": None, "hbar": None,
+                   "potential": dict.fromkeys(("kind", "k", "coeffs"))},
+        "initial": dict.fromkeys(("x_plus", "x_minus", "v_plus", "v_minus", "t")),
+        **dict.fromkeys(("dt", "steps", "canonical", "out")),
+    },
+    "phase": {
+        "scene": _SCENE_KEYS,
+        "magnetic": dict.fromkeys(("B", "e", "c", "M", "hbar")),
+        **dict.fromkeys(("out", "hbar", "scene_json", "loop_csv", "loop", "path1_csv",
+                         "path2_csv", "ab", "L")),
+    },
+    "vortex": {
+        "scene": _SCENE_KEYS,
+        "scatter": dict.fromkeys(("density", "seed", "region")),
+        **dict.fromkeys(("out", "scene_json", "core")),
+    },
+}
+
+
+def _check_keys(node: dict, known: dict, where: str = "") -> None:
+    """Reject the first key of node, or of a nested object, that known lacks,
+    naming its qualified path and the nearest known key."""
+    for key, value in node.items():
+        name = f"{where}{key}"
+        if key not in known:
+            import difflib  # only on this error path
+
+            nearest = difflib.get_close_matches(key, list(known), n=1, cutoff=0.0)
+            raise ConfigError(f"unknown setting \"{name}\"; the nearest known key is "
+                              f"\"{where}{nearest[0]}\"")
+        if isinstance(known[key], dict) and isinstance(value, dict):
+            _check_keys(value, known[key], f"{name}.")
+
+
+def _load_config(path: str, command: str) -> dict:
     data = _load_json(path)
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -332,6 +371,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(
             f"config {path} must set \"schema_version\": {SCHEMA_VERSION}, got {version!r}"
         )
+    _check_keys(data, {"schema_version": None, **_CONFIG_KEYS[command]})
     return data
 
 
@@ -501,6 +541,22 @@ def _potential_from(node, kind=None, k=None, coeffs=None) -> Potential:
     raise ConfigError(f"unknown potential kind {kind!r} (free, harmonic, polynomial)")
 
 
+_FIELD_FLAGS = ("B", "charge", "light_speed", "mass", "hbar")
+
+
+def _ignored(args, *reads: str) -> str:
+    """The field flags given on the command line but not in reads, as text."""
+    return ", ".join(f"--{name.replace('_', '-')}" for name in _FIELD_FLAGS
+                     if name not in reads and getattr(args, name) is not None)
+
+
+def _reads_only(args, route: str, *reads: str) -> None:
+    """Reject the field flags given on the command line that route does not read."""
+    ignored = _ignored(args, *reads)
+    if ignored:
+        raise ConfigError(f"{route} does not read {ignored}")
+
+
 def _magnetic(args, node: dict, B=_REQUIRED) -> MagneticParams:
     """Field parameters: each field flag, else its key in node (a config's
     "magnetic" object), else its default (1.0; B has none unless given)."""
@@ -517,6 +573,7 @@ def _magnetic(args, node: dict, B=_REQUIRED) -> MagneticParams:
 
 def run_spectrum(args) -> int:
     if args.kind == "distance":
+        _reads_only(args, "spectrum --kind distance", "hbar")
         params = NcParams(L=_setting(args.L, {}, "L", "--L", "number"),
                           hbar=_setting(args.hbar, {}, "hbar", "--hbar", "number", 1.0))
         values = distance_spectrum(params, _setting(args.dim, {}, "dim", "--dim", "integer"))
@@ -524,11 +581,10 @@ def run_spectrum(args) -> int:
         if args.omega_c is not None:
             if args.B is not None:
                 raise ConfigError("give either --omega-c or --B, not both")
-            ignored = [f"--{name.replace('_', '-')}" for name in ("charge", "light_speed", "mass")
-                       if getattr(args, name) is not None]
+            ignored = _ignored(args, "hbar")
             if ignored:
-                raise ConfigError(f"--omega-c sets e = c = M = 1 and would ignore "
-                                  f"{', '.join(ignored)}; give --B instead")
+                raise ConfigError(f"--omega-c sets e = c = M = 1 and would ignore {ignored}; "
+                                  f"give --B instead")
         elif args.B is None:
             raise ConfigError("landau spectrum needs --omega-c or --B")
         n_max = _setting(args.n_max, {}, "n_max", "--n-max", "integer")
@@ -584,7 +640,7 @@ def _evolve_summary(traj, params, h, xi, dt: float) -> dict:
 
 
 def run_evolve(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
+    cfg = _load_config(args.config, args.command) if args.config else {}
     pcfg = _setting(None, cfg, "params", "params", "object", {})
     icfg = _setting(None, cfg, "initial", "initial", "object", {})
     params = DissipativeParams(
@@ -648,7 +704,7 @@ def _scene_from(args, cfg: dict) -> dict | None:
 
 
 def run_phase(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
+    cfg = _load_config(args.config, args.command) if args.config else {}
     out = _setting(args.out, cfg, "out", "out", "path", None)
     hbar = _setting(args.hbar, cfg, "hbar", "hbar", "number", 1.0)
     scene_data = _scene_from(args, cfg)
@@ -663,6 +719,7 @@ def run_phase(args) -> int:
         raise ConfigError("phase modes are mutually exclusive: give one of loop/paths/scene")
 
     if scene_data is not None:
+        _reads_only(args, "phase --scene")
         scene = scene_from_dict(scene_data)
         inside = int(np.count_nonzero(points_in_polygon(scene.atoms, scene.core_loop)))
         phase = count_phase(scene.sigma, inside)
@@ -672,6 +729,7 @@ def run_phase(args) -> int:
     if p1 is not None or p2 is not None:
         if p1 is None or p2 is None:
             raise ConfigError("action route needs both --path1 and --path2")
+        _reads_only(args, "phase --path1/--path2", "hbar")
         path1 = _read_path_csv(p1)
         path2 = _read_path_csv(p2)
         phase = interference_phase_action(path1, path2, hbar)
@@ -688,6 +746,7 @@ def run_phase(args) -> int:
                     "difference": phase_ab - phase_area}, out)
         return EXIT_OK
 
+    _reads_only(args, "phase --loop without --ab or a \"magnetic\" object", "hbar")
     params = NcParams(L=_setting(args.L, cfg, "L", "L", "number"), hbar=hbar)
     phase_area = interference_phase_area(loop, params)
     phase_action = loop_action_phase(loop, params)
@@ -708,6 +767,7 @@ def run_algebra(args) -> int:
         params = _magnetic(args, {}, B=1.0)
         report = cyclotron_algebra(params, dim)
     else:
+        _reads_only(args, "algebra --kind dissipative", "mass", "hbar")
         if args.R is None or args.R <= 0:
             raise ConfigError("dissipative algebra needs --R > 0")
         params = DissipativeParams(M=_setting(args.mass, {}, "M", "--mass", "number", 1.0),
@@ -732,7 +792,7 @@ def run_algebra(args) -> int:
 # ------------------------------------------------------------------- vortex
 
 def run_vortex(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
+    cfg = _load_config(args.config, args.command) if args.config else {}
     out = _setting(args.out, cfg, "out", "out", "path", None)
     fields = _scene_from(args, cfg)
     if fields is None:

@@ -279,6 +279,36 @@ def test_evolve_config_canonical_false_drops_columns(tmp_path, capsys):
     assert json.loads(out)["steps"] == 5
 
 
+_EVOLVE_CFG = {"params": {"M": 1.0, "R": 0.4, "potential": {"kind": "harmonic", "k": 1.0}},
+               "dt": 0.01, "steps": 5}
+_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+
+
+@pytest.mark.parametrize("command, cfg, name, nearest", [
+    ("evolve", {**_EVOLVE_CFG, "canonicle": False}, "canonicle", "canonical"),
+    ("evolve", {**_EVOLVE_CFG, "params": {"M": 1.0, "R": 0.4,
+                                          "potential": {"kind": "harmonic", "kk": 1.0}}},
+     "params.potential.kk", "params.potential.k"),
+    ("evolve", {**_EVOLVE_CFG, "initial": {"xplus": 0.1}}, "initial.xplus", "initial.x_plus"),
+    ("phase", {"loop": _SQUARE, "magnetic": {"B": 1.0, "hbarr": 2.0}}, "magnetic.hbarr",
+     "magnetic.hbar"),
+    ("phase", {"loop_cvs": "loop.csv", "L": 1.0}, "loop_cvs", "loop_csv"),
+    ("vortex", {"scene": {"core_loop": _SQUARE, "atoms": [], "sigmaa": 1}}, "scene.sigmaa",
+     "scene.sigma"),
+    ("vortex", {"scene": {"core_loop": _SQUARE, "sigma": 1},
+                "scatter": {"density": 1.0, "seed": 1, "region": [0, 0, 1, 1], "sead": 2}},
+     "scatter.sead", "scatter.seed"),
+])
+def test_unknown_config_keys_are_errors(tmp_path, capsys, command, cfg, name, nearest):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, **cfg}))
+    out_file = tmp_path / "out"
+    code, out, err = run_cli([command, "--config", str(path), "--out", str(out_file)], capsys)
+    assert code == 2
+    assert out == "" and not out_file.exists()
+    assert f'unknown setting "{name}"; the nearest known key is "{nearest}"' in err
+
+
 def test_missing_config_is_io_error(tmp_path, capsys):
     code, _, err = run_cli(["evolve", "--config", str(tmp_path / "nope.json")], capsys)
     assert code == 3
@@ -504,6 +534,29 @@ def test_spectrum_omega_c_names_the_field_flags_it_would_ignore(capsys):
     code, _, err = run_cli([*landau, "--charge", "5", "--n-max", "1"], capsys)
     assert code == 2
     assert "landau spectrum needs --omega-c or --B" in err
+
+
+@pytest.mark.parametrize("argv, route, ignored", [
+    (["algebra", "--kind", "dissipative", "--dim", "3", "--R", "0.5", "--B", "7",
+      "--charge", "2", "--light-speed", "3"],
+     "algebra --kind dissipative", "--B, --charge, --light-speed"),
+    (["spectrum", "--kind", "distance", "--L", "1", "--dim", "2", "--B", "3", "--mass", "2"],
+     "spectrum --kind distance", "--B, --mass"),
+    (["phase", "--loop", "@loop", "--L", "1", "--charge", "2", "--B", "3"],
+     "phase --loop without --ab", "--B, --charge"),
+    (["phase", "--path1", "@loop", "--path2", "@loop", "--hbar", "2", "--mass", "3"],
+     "phase --path1/--path2", "--mass"),
+    (["phase", "--scene", "@scene", "--hbar", "2"], "phase --scene", "--hbar"),
+])
+def test_field_flags_a_route_does_not_read_are_errors(tmp_path, capsys, argv, route, ignored):
+    write_loop_csv(tmp_path / "loop", [(0, 0), (1, 0), (1, 1), (0, 1)])
+    (tmp_path / "scene").write_text(json.dumps({"core_loop": [[0, 0], [1, 0], [0, 1]],
+                                                "atoms": [], "sigma": 1}))
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{route}" in err and f"does not read {ignored}\n" in err
 
 
 def test_vortex_scene_with_core(tmp_path, capsys):
