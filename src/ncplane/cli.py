@@ -119,7 +119,7 @@ def _emit(text: str, out_path: str | None) -> None:
 # after it from _FRAC, so that the kept bytes form a few runs, which numpy
 # compacts fast.  The masked bytes of a block are its text.
 
-_TIE_MARGIN = 2.0 ** -40
+_TIE_MARGIN = 2.0 ** -40  # ~9e-13: about 100 times the error bound of p + lo
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's constant
 # decimal exponents of the power table, and the |x| window the kernel decides
 # (its first exponent estimate may be one off at either end of the window)
@@ -222,6 +222,8 @@ def _csv_cells(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
     carry = D == _D_MAX
     D[carry] = _D_MIN
     E += carry
+    # the range test keeps a significand off by a wrong first estimate of E
+    # (np.log10 more than one off) out of the kernel
     decided = window & (np.abs(frac - 0.5) > _TIE_MARGIN) & (D >= _D_MIN) & (D < _D_MAX)
     D = np.where(decided, D, _D_MIN)
 
@@ -269,7 +271,7 @@ def _emit_csv(header: str, table: np.ndarray, out_path: str | None) -> None:
           else open(out_path, "w", newline="")) as fh:
         fh.write(header + "\n")
         for lo in range(0, rows, block):
-            x = np.ascontiguousarray(table[lo:lo + block], dtype=float).ravel()
+            x = table[lo:lo + block].ravel()
             fh.write(_csv_cells(x, buf[:len(x)]).tobytes().decode("ascii"))
 
 

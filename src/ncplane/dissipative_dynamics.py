@@ -593,7 +593,8 @@ def evolve_density(energies, rho0, t: float, hbar: float = 1.0) -> np.ndarray:
     if not (hbar > 0 and math.isfinite(hbar)):
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
     scale = t / hbar
-    if not math.isfinite(e_max * scale):  # then every E t / hbar is finite
+    # e_max |t / hbar| bounds every |E t / hbar|, so one finite product clears them all
+    if not math.isfinite(e_max * scale):
         k = int(np.argmax(np.abs(e))) if math.isfinite(scale) else 0
         raise ValueError(
             f"the phase E t / hbar must be finite, got {e[k]} * {t} / {hbar} for energy {k}"

@@ -132,11 +132,3 @@ def test_three_digit_exponents():
     values = np.array([1.2345e-100, 6.113e149, 9.999999999999999e-291, 1.5e-200, 7e250, 3e-300])
     _assert_same_text(np.concatenate([values, -values]))
 
-
-def test_columns_and_block_edges(monkeypatch):
-    rng = np.random.default_rng(7)
-    table = rng.standard_normal((23, 5)) * 10.0 ** rng.integers(-8, 20, (23, 5))
-    for block in (1, 2, 5, 22, 23, 24):
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
-        assert _emitted(table) == _percent_csv(table)
-        assert _emitted(table[:, ::2]) == _percent_csv(table[:, ::2])  # not contiguous
