@@ -10,7 +10,7 @@ scatter seed).
 
 Config/flag cheat sheet (flags override config keys; README.md lists every
 key with its JSON type and default, and a value of another type is an error
-that names its key):
+that names its key, as is a key that none of the command's routes reads):
 
   spectrum  --kind distance --L 1.0 --dim 4
   spectrum  --kind landau --hbar 1.0 --omega-c 1.0 --n-max 2
@@ -24,7 +24,8 @@ that names its key):
 
 spectrum, phase and algebra share the field flags --B --charge --light-speed
 --mass --hbar and --out; a field value is 1.0 when absent, except that spectrum
-needs --B or --omega-c and phase's flux route needs B.
+needs --B or --omega-c and phase's flux route needs B.  A field flag that the
+chosen route does not read is an error that names it.
 A scene or loop comes from its flag, else its file key, else its inline key.
 """
 
@@ -114,18 +115,16 @@ def _emit(text: str, out_path: str | None) -> None:
 # A cell's text is laid out in a template of _SLOTS bytes: the sign, the 17
 # digits (_INT), "0." and three "0"s (fixed form below 1), the 17 digits again
 # (_FRAC), "e", both exponent signs, three exponent digits and the separator.
-# A per-cell mask, looked up by (layout, last nonzero digit, sign), keeps the
-# bytes "%.17g" prints: the digits before the decimal point from _INT, those
-# after it from _FRAC, so that the kept bytes form a few runs, which numpy
-# compacts fast.  The masked bytes of a block are its text.
+# A per-cell mask, looked up by (layout, last nonzero digit) and given the
+# sign, keeps the bytes "%.17g" prints: the digits before the decimal point
+# from _INT, those after it from _FRAC, so that the kept bytes form a few
+# runs, which numpy compacts fast.  The masked bytes of a block are its text.
 
 _TIE_MARGIN = 2.0 ** -40  # ~9e-13: about 100 times the error bound of p + lo
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's constant
-# decimal exponents of the power table, and the |x| window the kernel decides
-# (its first exponent estimate may be one off at either end of the window)
-_E_MIN, _E_MAX = -291, 290
-_X_MIN, _X_MAX = 1e-290, 1e290
+_X_MIN, _X_MAX = 1e-290, 1e290  # the |x| window the kernel decides
 _D_MIN, _D_MAX = 10**16, 10**17
+_CHUNK = 8  # powers of ten are built _CHUNK exponents at a time, on first use
 _SIGN, _INT, _ZERO, _POINT, _LEAD, _FRAC, _EXP, _SEP = 0, 1, 18, 19, 20, 23, 40, 46
 _SLOTS = _SEP + 1
 # layouts: fixed form for E in [-4, 16] (E + 4), exponent form
@@ -133,15 +132,20 @@ _SLOTS = _SEP + 1
 _EXP_FORM, _ZERO_FORM = 21, 25
 
 
-@functools.lru_cache(maxsize=1)
-def _powers_of_ten() -> tuple:
-    """Arrays hi, lo, hi_high, hi_low of 10^(16-E) for E in [_E_MIN, _E_MAX].
+@functools.lru_cache(maxsize=None)
+def _powers_of_ten(chunk: int) -> tuple:
+    """Arrays hi, lo, hi_high, hi_low of 10^(16-E) for the _CHUNK exponents E
+    from chunk * _CHUNK on; NaN for an E no value in the window has.
 
     hi is 10^(16-E) correctly rounded and lo the rounded remainder, both
     from exact integers; hi_high + hi_low is hi split into 26-bit halves.
     """
     rows = []
-    for k in range(16 - _E_MIN, 15 - _E_MAX, -1):
+    for E in range(chunk * _CHUNK, (chunk + 1) * _CHUNK):
+        if not -292 <= E <= 291:  # an estimate of E is at most one off
+            rows.append((math.nan,) * 4)
+            continue
+        k = 16 - E
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
         hi = num / den  # int / int is correctly rounded
         a, b = hi.as_integer_ratio()
@@ -153,45 +157,56 @@ def _powers_of_ten() -> tuple:
     return tuple(np.array(column) for column in zip(*rows))
 
 
-@functools.lru_cache(maxsize=1)
 def _csv_tables() -> tuple:
     """The 4-digit groups as uint32 character quads, the index of each
     group's last nonzero digit, the 3-digit exponents, the blank template
-    and the masks of every (layout, last nonzero digit, sign)."""
-    g = np.arange(10000)
-    quads = np.stack((g // 1000, g // 100 % 10, g // 10 % 10, g % 10), axis=1) + 48
-    quads = quads.astype(np.uint8).view(np.uint32).ravel()
-    last4 = np.where(g % 10, 3, np.where(g % 100, 2, np.where(g % 1000, 1,
-                                                              np.where(g, 0, -99))))
-    e = np.arange(1000)
-    exp_digits = (np.stack((e // 100, e // 10 % 10, e % 10), axis=1) + 48).astype(np.uint8)
+    and the slots kept for each (layout, last nonzero digit) but the sign."""
+    chars = np.arange(48, 58, dtype=np.uint8)
+    quads = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for k in range(4):
+        quads[..., k] = chars.reshape((10,) + (1,) * (3 - k))
+    quads = quads.reshape(10000, 4)
+    nonzero = chars > 48
+    last4 = np.where(nonzero, 3, np.where(nonzero[:, None], 2, np.where(
+        nonzero[:, None, None], 1, np.where(nonzero[:, None, None, None], 0, -99)))).ravel()
     template = np.frombuffer(b"-" + b"0" * 17 + b"0.000" + b"0" * 17 + b"e+-000,", np.uint8)
+    rows, starts = [], []
+    for form in range(_ZERO_FORM + 1):
+        row = bytearray(_SLOTS)
+        row[_SEP] = 1
+        if form < 4:  # fixed, E < 0: "0." and -E - 1 zeros
+            row[_ZERO:_LEAD + 3 - form] = b"\1" * (5 - form)
+            starts.append(0)
+        elif form < _EXP_FORM:  # fixed, E >= 0: E + 1 digits before the point
+            row[_INT:_INT + form - 3] = b"\1" * (form - 3)
+            starts.append(form - 3)
+        elif form < _ZERO_FORM:  # one digit before the point; e, sign, 2 or 3 digits
+            exp_neg, exp_wide = divmod(form - _EXP_FORM, 2)
+            row[_INT] = row[_EXP] = row[_EXP + 1 + exp_neg] = 1
+            row[_SEP - 2 - exp_wide:_SEP] = b"\1" * (2 + exp_wide)
+            starts.append(1)
+        else:
+            row[_ZERO] = 1
+            starts.append(17)
+        rows.append(bytes(row))
+    # add the digits after the point, starts to last, and the point before them
+    keep = np.frombuffer(b"".join(rows), dtype=bool).reshape(-1, 1, _SLOTS).repeat(17, axis=1)
+    starts, last = np.array(starts)[:, None], np.arange(17)[:, None]
+    keep[:, :, _FRAC:_EXP] = (last.T >= starts[:, :, None]) & (last.T <= last)
+    keep[:, :, _POINT] |= starts <= last.T
+    return quads.view(np.uint32).ravel(), last4, quads[:1000, 1:], template, keep.reshape(-1, _SLOTS)
 
-    form = np.arange(_ZERO_FORM + 1)[:, None, None, None]
-    last = np.arange(17)[None, :, None, None]
-    neg = np.arange(2)[None, None, :, None] == 1
-    s = np.arange(_SLOTS)
-    E = form - 4
-    fixed, zero = form < _EXP_FORM, form == _ZERO_FORM
-    expo = ~fixed & ~zero
-    small = fixed & (E < 0)
-    point = np.where(fixed, E, 0)  # the index of the last digit before the point
-    i, f = s - _INT, s - _FRAC
-    exp_neg, exp_wide = (form - _EXP_FORM) // 2 == 1, (form - _EXP_FORM) % 2 == 1
-    keep = np.zeros((_ZERO_FORM + 1, 17, 2, _SLOTS), bool)
-    keep |= ((s == _SIGN) & neg) | (s == _SEP) | ((s == _ZERO) & (zero | small))
-    keep |= (i >= 0) & (i <= point) & ~small & ~zero
-    keep |= (s == _POINT) & ~zero & (small | (last > point))
-    keep |= (s >= _LEAD) & (s < _FRAC) & small & (s - _LEAD < -E - 1)
-    keep |= (f >= 0) & (f <= last) & ~zero & (small | (f > point))
-    keep |= expo & ((s == _EXP) | (s == _EXP + 1) & ~exp_neg | (s == _EXP + 2) & exp_neg
-                    | (s == _EXP + 3) & exp_wide | (s > _EXP + 3) & (s < _SEP))
-    return quads, last4, exp_digits, template, keep.reshape(-1, _SLOTS)
+
+# built at import (~0.4 ms, within the noise of the import): built on first
+# use, they doubled the cost of a process's first short CSV, such as the 2000
+# values of a dim-1000 spectrum
+_QUADS, _LAST4, _EXP_DIGITS, _TEMPLATE, _KEEP = _csv_tables()
 
 
-def _scaled(ax: np.ndarray, e: np.ndarray):
-    """ax * 10^(16-e) as p + lo with p = fl(ax * hi) (Dekker's TwoProduct)."""
-    hi, lo, hi_high, hi_low = (np.take(column, e - _E_MIN) for column in _powers_of_ten())
+def _scaled(ax: np.ndarray, index: np.ndarray, powers) -> tuple:
+    """ax * 10^(16-E) as p + lo with p = fl(ax * hi) (Dekker's TwoProduct),
+    the power taken from row index of powers."""
+    hi, lo, hi_high, hi_low = (np.take(column, index) for column in powers)
     p = ax * hi
     c = _SPLIT * ax
     a_high = c - (c - ax)
@@ -203,19 +218,23 @@ def _scaled(ax: np.ndarray, e: np.ndarray):
 def _csv_cells(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """The bytes of "%.17g" % v for each v in x, each followed by the
     separator byte of its row of buf, a (len(x), _SLOTS) template."""
-    quads, last4, exp_digits, template, keep = _csv_tables()
     ax = np.abs(x)
     window = (ax >= _X_MIN) & (ax < _X_MAX)  # False for NaN
     ax = np.where(window, ax, 1.0)
     E = np.floor(np.log10(ax)).astype(np.int64)
-    p, lo = _scaled(ax, E)
+    # the powers for E - 1 to E + 1: the estimate may be one off
+    first = (int(E.min()) - 1) // _CHUNK
+    chunks = [_powers_of_ten(c) for c in range(first, (int(E.max()) + 1) // _CHUNK + 1)]
+    powers = [np.concatenate(column) for column in zip(*chunks)]
+    base = first * _CHUNK
+    p, lo = _scaled(ax, E - base, powers)
     # E from the unrounded p + lo: near a power of ten p alone rounds to 1e16 or 1e17
     low = (p < 1e16) | (p == 1e16) & (lo < 0)
     high = (p > 1e17) | (p == 1e17) & (lo >= 0)
     off = np.flatnonzero(low | high)
     if off.size:
         E[off] += high[off].astype(np.int64) - low[off]
-        p[off], lo[off] = _scaled(ax[off], E[off])
+        p[off], lo[off] = _scaled(ax[off], E[off] - base, powers)
     floor = np.floor(lo)
     frac = lo - floor
     D = p.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
@@ -232,8 +251,8 @@ def _csv_cells(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
     digits = np.empty((len(x), 5), np.uint32)
     last = np.zeros(len(x), np.int64)
     for k, g in enumerate((*np.divmod(upper, 10**4), *np.divmod(lower, 10**4)), 1):
-        digits[:, k] = quads[g]
-        np.maximum(last, last4[g] + (4 * k - 3), out=last)
+        digits[:, k] = _QUADS[g]
+        np.maximum(last, _LAST4[g] + (4 * k - 3), out=last)
     digits = digits.view(np.uint8)[:, 3:]
     digits[:, 0] = lead + 48
     buf[:, _INT:_ZERO] = digits
@@ -243,8 +262,9 @@ def _csv_cells(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
     form = np.where(expo, _EXP_FORM + 2 * (E < 0) + (np.abs(E) >= 100), E + 4)
     form[x == 0] = _ZERO_FORM
     if expo.any():
-        buf[:, _EXP + 3:_SEP] = exp_digits[np.abs(E)]
-    mask = np.take(keep, (form * 17 + last) * 2 + np.signbit(x), axis=0)
+        buf[:, _EXP + 3:_SEP] = _EXP_DIGITS[np.abs(E)]
+    mask = np.take(_KEEP, form * 17 + last, axis=0)
+    mask[:, _SIGN] = np.signbit(x)
 
     slow = np.flatnonzero(~decided & (x != 0))
     if slow.size:
@@ -255,7 +275,7 @@ def _csv_cells(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
         mask[slow, :24] = chars != ord(" ")
     out = buf[mask]
     if slow.size:
-        buf[slow, :_SEP] = template[:_SEP]
+        buf[slow, :_SEP] = _TEMPLATE[:_SEP]
     return out
 
 
@@ -264,7 +284,7 @@ def _emit_csv(header: str, table: np.ndarray, out_path: str | None) -> None:
     writes it; rows are formatted CSV_BLOCK_ROWS at a time."""
     rows, cols = table.shape
     block = max(1, min(rows, CSV_BLOCK_ROWS))
-    buf = np.tile(_csv_tables()[3], (block, cols, 1))
+    buf = np.tile(_TEMPLATE, (block, cols, 1))
     buf[:, -1, _SEP] = ord("\n")
     buf = buf.reshape(block * cols, _SLOTS)
     with (contextlib.nullcontext(sys.stdout) if out_path is None
