@@ -556,7 +556,7 @@ def test_field_flags_a_route_does_not_read_are_errors(tmp_path, capsys, argv, ro
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
-    assert f"{route}" in err and f"does not read {ignored}\n" in err
+    assert route in err and f"does not read {ignored}\n" in err
 
 
 def test_vortex_scene_with_core(tmp_path, capsys):
