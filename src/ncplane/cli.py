@@ -123,8 +123,10 @@ def _emit(text: str, out_path: str | None) -> None:
 _TIE_MARGIN = 2.0 ** -40  # ~9e-13: about 100 times the error bound of p + lo
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's constant
 _X_MIN, _X_MAX = 1e-290, 1e290  # the |x| window the kernel decides
+# the exponents of the power table: E of an |x| in the window is in [-290, 289],
+# np.log10's estimate of it at most one off, and the correction one step from that
+_E_MIN, _E_MAX = -292, 291
 _D_MIN, _D_MAX = 10**16, 10**17
-_CHUNK = 8  # powers of ten are built _CHUNK exponents at a time, on first use
 _SIGN, _INT, _ZERO, _POINT, _LEAD, _FRAC, _EXP, _SEP = 0, 1, 18, 19, 20, 23, 40, 46
 _SLOTS = _SEP + 1
 # layouts: fixed form for E in [-4, 16] (E + 4), exponent form
@@ -132,19 +134,15 @@ _SLOTS = _SEP + 1
 _EXP_FORM, _ZERO_FORM = 21, 25
 
 
-@functools.lru_cache(maxsize=None)
-def _powers_of_ten(chunk: int) -> tuple:
-    """Arrays hi, lo, hi_high, hi_low of 10^(16-E) for the _CHUNK exponents E
-    from chunk * _CHUNK on; NaN for an E no value in the window has.
+def _powers_of_ten() -> tuple:
+    """Arrays hi, lo, hi_high, hi_low of 10^(16-E), row E - _E_MIN for each
+    E from _E_MIN to _E_MAX.
 
     hi is 10^(16-E) correctly rounded and lo the rounded remainder, both
     from exact integers; hi_high + hi_low is hi split into 26-bit halves.
     """
     rows = []
-    for E in range(chunk * _CHUNK, (chunk + 1) * _CHUNK):
-        if not -292 <= E <= 291:  # an estimate of E is at most one off
-            rows.append((math.nan,) * 4)
-            continue
+    for E in range(_E_MIN, _E_MAX + 1):
         k = 16 - E
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
         hi = num / den  # int / int is correctly rounded
@@ -197,16 +195,15 @@ def _csv_tables() -> tuple:
     return quads.view(np.uint32).ravel(), last4, quads[:1000, 1:], template, keep.reshape(-1, _SLOTS)
 
 
-# built at import (~0.4 ms, within the noise of the import): built on first
-# use, they doubled the cost of a process's first short CSV, such as the 2000
-# values of a dim-1000 spectrum
+# built at import (~0.4 and ~2 ms): built on first use, they doubled the cost of
+# a process's first short CSV, such as the 2000 values of a dim-1000 spectrum
 _QUADS, _LAST4, _EXP_DIGITS, _TEMPLATE, _KEEP = _csv_tables()
+_POWERS = _powers_of_ten()
 
 
-def _scaled(ax: np.ndarray, index: np.ndarray, powers) -> tuple:
-    """ax * 10^(16-E) as p + lo with p = fl(ax * hi) (Dekker's TwoProduct),
-    the power taken from row index of powers."""
-    hi, lo, hi_high, hi_low = (np.take(column, index) for column in powers)
+def _scaled(ax: np.ndarray, E: np.ndarray) -> tuple:
+    """ax * 10^(16-E) as p + lo with p = fl(ax * hi) (Dekker's TwoProduct)."""
+    hi, lo, hi_high, hi_low = (np.take(column, E - _E_MIN) for column in _POWERS)
     p = ax * hi
     c = _SPLIT * ax
     a_high = c - (c - ax)
@@ -222,19 +219,14 @@ def _csv_cells(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
     window = (ax >= _X_MIN) & (ax < _X_MAX)  # False for NaN
     ax = np.where(window, ax, 1.0)
     E = np.floor(np.log10(ax)).astype(np.int64)
-    # the powers for E - 1 to E + 1: the estimate may be one off
-    first = (int(E.min()) - 1) // _CHUNK
-    chunks = [_powers_of_ten(c) for c in range(first, (int(E.max()) + 1) // _CHUNK + 1)]
-    powers = [np.concatenate(column) for column in zip(*chunks)]
-    base = first * _CHUNK
-    p, lo = _scaled(ax, E - base, powers)
+    p, lo = _scaled(ax, E)
     # E from the unrounded p + lo: near a power of ten p alone rounds to 1e16 or 1e17
     low = (p < 1e16) | (p == 1e16) & (lo < 0)
     high = (p > 1e17) | (p == 1e17) & (lo >= 0)
     off = np.flatnonzero(low | high)
     if off.size:
         E[off] += high[off].astype(np.int64) - low[off]
-        p[off], lo[off] = _scaled(ax[off], E[off] - base, powers)
+        p[off], lo[off] = _scaled(ax[off], E[off])
     floor = np.floor(lo)
     frac = lo - floor
     D = p.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
@@ -345,9 +337,13 @@ def _load_json(path: str):
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
+# field flag: its MagneticParams field, also its key in a "magnetic" config object
+_FIELD_FLAGS = {"B": "B", "charge": "e", "light_speed": "c", "mass": "M", "hbar": "hbar"}
+# scene key: the kind of its value (see _KINDS)
+_SCENE_KEYS = {"core_loop": "vertices", "atoms": "vertices", "sigma": "integer",
+               "density": "number"}
 # the keys a config of each command may hold, over all of its routes; a dict
-# value lists the keys of an object, None stands for any other value
-_SCENE_KEYS = dict.fromkeys(("core_loop", "atoms", "sigma", "density"))
+# value lists the keys of an object, which are checked in turn
 _CONFIG_KEYS = {
     "evolve": {
         "params": {"M": None, "R": None, "hbar": None,
@@ -357,7 +353,7 @@ _CONFIG_KEYS = {
     },
     "phase": {
         "scene": _SCENE_KEYS,
-        "magnetic": dict.fromkeys(("B", "e", "c", "M", "hbar")),
+        "magnetic": dict.fromkeys(_FIELD_FLAGS.values()),
         **dict.fromkeys(("out", "hbar", "scene_json", "loop_csv", "loop", "path1_csv",
                          "path2_csv", "ab", "L")),
     },
@@ -563,9 +559,6 @@ def _potential_from(node, kind=None, k=None, coeffs=None) -> Potential:
     raise ConfigError(f"unknown potential kind {kind!r} (free, harmonic, polynomial)")
 
 
-_FIELD_FLAGS = ("B", "charge", "light_speed", "mass", "hbar")
-
-
 def _ignored(args, *reads: str) -> str:
     """The field flags given on the command line but not in reads, as text."""
     return ", ".join(f"--{name.replace('_', '-')}" for name in _FIELD_FLAGS
@@ -582,13 +575,11 @@ def _reads_only(args, route: str, *reads: str) -> None:
 def _magnetic(args, node: dict, B=_REQUIRED) -> MagneticParams:
     """Field parameters: each field flag, else its key in node (a config's
     "magnetic" object), else its default (1.0; B has none unless given)."""
-    return MagneticParams(
-        B=_setting(args.B, node, "B", "magnetic.B", "number", B),
-        e=_setting(args.charge, node, "e", "magnetic.e", "number", 1.0),
-        c=_setting(args.light_speed, node, "c", "magnetic.c", "number", 1.0),
-        M=_setting(args.mass, node, "M", "magnetic.M", "number", 1.0),
-        hbar=_setting(args.hbar, node, "hbar", "magnetic.hbar", "number", 1.0),
-    )
+    return MagneticParams(**{
+        key: _setting(getattr(args, flag), node, key, f"magnetic.{key}", "number",
+                      B if key == "B" else 1.0)
+        for flag, key in _FIELD_FLAGS.items()
+    })
 
 
 # ----------------------------------------------------------------- spectrum
@@ -720,9 +711,16 @@ def _scene_from(args, cfg: dict) -> dict | None:
         return None
     if not isinstance(raw, dict):
         raise ConfigError("scene must be a JSON object")
-    kinds = {"core_loop": "vertices", "atoms": "vertices", "sigma": "integer", "density": "number"}
+    _check_keys(raw, _SCENE_KEYS, "scene.")
     return {key: _setting(None, raw, key, f"scene.{key}", kind)
-            for key, kind in kinds.items() if raw.get(key) is not None}
+            for key, kind in _SCENE_KEYS.items() if raw.get(key) is not None}
+
+
+def _winding_report(scene) -> dict:
+    """sigma, the atoms inside the scene's core loop and their winding phase."""
+    inside = int(np.count_nonzero(points_in_polygon(scene.atoms, scene.core_loop)))
+    return {"sigma": scene.sigma, "atoms_inside": inside,
+            "winding_phase": count_phase(scene.sigma, inside)}
 
 
 def run_phase(args) -> int:
@@ -742,10 +740,7 @@ def run_phase(args) -> int:
 
     if scene_data is not None:
         _reads_only(args, "phase --scene")
-        scene = scene_from_dict(scene_data)
-        inside = int(np.count_nonzero(points_in_polygon(scene.atoms, scene.core_loop)))
-        phase = count_phase(scene.sigma, inside)
-        _emit_json({"winding_phase": phase, "atoms_inside": inside, "sigma": scene.sigma}, out)
+        _emit_json(_winding_report(scene_from_dict(scene_data)), out)
         return EXIT_OK
 
     if p1 is not None or p2 is not None:
@@ -842,13 +837,8 @@ def run_vortex(args) -> int:
         fields.setdefault("density", density)
 
     scene = scene_from_dict(fields)
-    inside = int(np.count_nonzero(points_in_polygon(scene.atoms, scene.core_loop)))
-    report = {
-        "sigma": scene.sigma,
-        "atoms": int(scene.atoms.shape[0]),
-        "atoms_inside": inside,
-        "winding_phase": count_phase(scene.sigma, inside),
-    }
+    report = _winding_report(scene)
+    report["atoms"] = int(scene.atoms.shape[0])
     if scene.density is not None:
         report["length_scale"] = film_length_scale(scene.density)
     core = _setting(args.core, cfg, "core", "core", "pair", None)
@@ -875,11 +865,9 @@ def build_parser() -> argparse.ArgumentParser:
     # the field flags of spectrum, phase and algebra, with no defaults here:
     # _magnetic and _setting supply them
     field = argparse.ArgumentParser(add_help=False)
-    field.add_argument("--B", type=float, help="field strength")
-    field.add_argument("--charge", type=float)
-    field.add_argument("--light-speed", dest="light_speed", type=float)
-    field.add_argument("--mass", type=float)
-    field.add_argument("--hbar", type=float)
+    for flag in _FIELD_FLAGS:
+        field.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=float,
+                           help="field strength" if flag == "B" else None)
     field.add_argument("--out", help="output file (default: stdout)")
 
     sp = sub.add_parser("spectrum", parents=[field], help="distance or Landau level spectra")

@@ -309,6 +309,24 @@ def test_unknown_config_keys_are_errors(tmp_path, capsys, command, cfg, name, ne
     assert f'unknown setting "{name}"; the nearest known key is "{nearest}"' in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["phase", "--scene", "@"], ["vortex", "--scene", "@"],
+    ["vortex", "--config", "@config"], ["phase", "--config", "@config"],
+])
+def test_unknown_scene_file_keys_are_errors(tmp_path, capsys, argv):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"core_loop": _SQUARE, "atoms": [], "sigma": 1, "sigmaa": 1,
+                                 "densty": 2.0}))
+    (tmp_path / "config").write_text(json.dumps({"schema_version": 1,
+                                                 "scene_json": str(scene)}))
+    argv = [str(tmp_path / "config") if a == "@config" else str(scene) if a == "@" else a
+            for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert 'unknown setting "scene.sigmaa"; the nearest known key is "scene.sigma"' in err
+
+
 def test_missing_config_is_io_error(tmp_path, capsys):
     code, _, err = run_cli(["evolve", "--config", str(tmp_path / "nope.json")], capsys)
     assert code == 3
@@ -557,6 +575,17 @@ def test_field_flags_a_route_does_not_read_are_errors(tmp_path, capsys, argv, ro
     assert code == 2
     assert out == ""
     assert route in err and f"does not read {ignored}\n" in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "phase", "algebra"])
+def test_field_flags_come_first_in_help(command, capsys):
+    code, out, _ = run_cli([command, "--help"], capsys)
+    assert code == 0
+    options = [line.split() for line in out.split("options:")[1].splitlines()
+               if line.startswith("  -")]
+    assert [words[0] for words in options[:7]] == [
+        "-h,", "--B", "--charge", "--light-speed", "--mass", "--hbar", "--out"]
+    assert options[1] == ["--B", "B", "field", "strength"]
 
 
 def test_vortex_scene_with_core(tmp_path, capsys):

@@ -8,6 +8,7 @@ the reference here is the writer it replaced: one "%.17g" per value.
 import contextlib
 import io
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,6 +87,22 @@ def test_powers_of_ten_and_their_neighbours():
     # p alone rounds to 1e16 or 1e17 on some of these; E must come from p + lo
     powers = 10.0 ** np.arange(-323, 309)
     _assert_same_text(np.concatenate([_neighbours(powers), -_neighbours(powers)]))
+
+
+def test_power_table_covers_the_window_edges():
+    # _csv_cells asks for the rows of E - 1 to E + 1 around np.log10's estimate of E
+    hi, lo, hi_high, hi_low = cli._POWERS
+    assert np.isfinite(np.concatenate(cli._POWERS)).all()
+    assert np.array_equal(hi_high + hi_low, hi)
+    for x in (1e-290, np.nextafter(1e290, 0)):
+        estimate = int(np.floor(np.log10(x)))
+        for E in range(estimate - 1, estimate + 2):
+            row = E - cli._E_MIN
+            assert 0 <= row < len(hi)
+            exact = Fraction(10) ** (16 - E)
+            assert hi[row] == float(exact)
+            assert lo[row] == float(exact - Fraction(hi[row]))
+    assert [len(column) for column in cli._powers_of_ten()] == [len(hi)] * 4
 
 
 def test_the_fixed_form_edges():
