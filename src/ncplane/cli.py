@@ -24,7 +24,7 @@ that names its key, as is a key that none of the command's routes reads):
 
 spectrum, phase and algebra share the field flags --B --charge --light-speed
 --mass --hbar and --out; a field value is 1.0 when absent, except that spectrum
-needs --B or --omega-c and phase's flux route needs B.  A field flag that the
+needs --B or --omega-c and phase's flux route needs B.  A flag that the
 chosen route does not read is an error that names it.
 A scene or loop comes from its flag, else its file key, else its inline key.
 """
@@ -560,13 +560,16 @@ def _potential_from(node, kind=None, k=None, coeffs=None) -> Potential:
 
 
 def _ignored(args, *reads: str) -> str:
-    """The field flags given on the command line but not in reads, as text."""
-    return ", ".join(f"--{name.replace('_', '-')}" for name in _FIELD_FLAGS
-                     if name not in reads and getattr(args, name) is not None)
+    """The flags given on the command line that are not in reads, as text.
+    --config, --out, --kind and --format are left out, as every route of
+    their commands reads them; command and func are no flags."""
+    return ", ".join(f"--{name.replace('_', '-')}" for name, value in vars(args).items()
+                     if value is not None and name not in reads and name not in
+                     ("command", "func", "config", "out", "kind", "format"))
 
 
 def _reads_only(args, route: str, *reads: str) -> None:
-    """Reject the field flags given on the command line that route does not read."""
+    """Reject the flags given on the command line that route does not read."""
     ignored = _ignored(args, *reads)
     if ignored:
         raise ConfigError(f"{route} does not read {ignored}")
@@ -586,15 +589,16 @@ def _magnetic(args, node: dict, B=_REQUIRED) -> MagneticParams:
 
 def run_spectrum(args) -> int:
     if args.kind == "distance":
-        _reads_only(args, "spectrum --kind distance", "hbar")
+        _reads_only(args, "spectrum --kind distance", "L", "dim", "hbar")
         params = NcParams(L=_setting(args.L, {}, "L", "--L", "number"),
                           hbar=_setting(args.hbar, {}, "hbar", "--hbar", "number", 1.0))
         values = distance_spectrum(params, _setting(args.dim, {}, "dim", "--dim", "integer"))
     else:
+        _reads_only(args, "spectrum --kind landau", *_FIELD_FLAGS, "omega_c", "n_max")
         if args.omega_c is not None:
             if args.B is not None:
                 raise ConfigError("give either --omega-c or --B, not both")
-            ignored = _ignored(args, "hbar")
+            ignored = _ignored(args, "hbar", "omega_c", "n_max")
             if ignored:
                 raise ConfigError(f"--omega-c sets e = c = M = 1 and would ignore {ignored}; "
                                   f"give --B instead")
@@ -662,6 +666,9 @@ def run_evolve(args) -> int:
         hbar=_setting(args.hbar, pcfg, "hbar", "params.hbar", "number", 1.0),
         potential=_potential_from(pcfg.get("potential"), args.potential, args.k, args.coeffs),
     )
+    _reads_only(args, f"evolve with a {params.potential.kind} potential", "M", "R", "hbar",
+                "potential", "x_plus", "x_minus", "v_plus", "v_minus", "dt", "steps", "canonical",
+                *{"harmonic": ("k",), "polynomial": ("coeffs",)}.get(params.potential.kind, ()))
     initial = TwoCoordState(
         x_plus=_setting(args.x_plus, icfg, "x_plus", "initial.x_plus", "number", 0.0),
         x_minus=_setting(args.x_minus, icfg, "x_minus", "initial.x_minus", "number", 0.0),
@@ -739,14 +746,14 @@ def run_phase(args) -> int:
         raise ConfigError("phase modes are mutually exclusive: give one of loop/paths/scene")
 
     if scene_data is not None:
-        _reads_only(args, "phase --scene")
+        _reads_only(args, "phase --scene", "scene")
         _emit_json(_winding_report(scene_from_dict(scene_data)), out)
         return EXIT_OK
 
     if p1 is not None or p2 is not None:
         if p1 is None or p2 is None:
             raise ConfigError("action route needs both --path1 and --path2")
-        _reads_only(args, "phase --path1/--path2", "hbar")
+        _reads_only(args, "phase --path1/--path2", "path1", "path2", "hbar")
         path1 = _read_path_csv(p1)
         path2 = _read_path_csv(p2)
         phase = interference_phase_action(path1, path2, hbar)
@@ -755,6 +762,8 @@ def run_phase(args) -> int:
 
     mcfg = _setting(None, cfg, "magnetic", "magnetic", "object", None)
     if _setting(args.ab, cfg, "ab", "ab", "boolean", False) or mcfg:
+        _reads_only(args, "phase --loop with --ab or a \"magnetic\" object", "loop", "ab",
+                    *_FIELD_FLAGS)
         mp = _magnetic(args, mcfg or {})
         phase_ab = aharonov_bohm_phase(mp, loop)
         area_params = NcParams(L=magnetic_length(mp), hbar=mp.hbar)
@@ -763,7 +772,7 @@ def run_phase(args) -> int:
                     "difference": phase_ab - phase_area}, out)
         return EXIT_OK
 
-    _reads_only(args, "phase --loop without --ab or a \"magnetic\" object", "hbar")
+    _reads_only(args, "phase --loop without --ab or a \"magnetic\" object", "loop", "L", "hbar")
     params = NcParams(L=_setting(args.L, cfg, "L", "L", "number"), hbar=hbar)
     phase_area = interference_phase_area(loop, params)
     phase_action = loop_action_phase(loop, params)
@@ -781,10 +790,11 @@ def _complex_table(mat: np.ndarray) -> list:
 def run_algebra(args) -> int:
     dim = _setting(args.dim, {}, "dim", "--dim", "integer")
     if args.kind == "magnetic":
+        _reads_only(args, "algebra --kind magnetic", "dim", *_FIELD_FLAGS)
         params = _magnetic(args, {}, B=1.0)
         report = cyclotron_algebra(params, dim)
     else:
-        _reads_only(args, "algebra --kind dissipative", "mass", "hbar")
+        _reads_only(args, "algebra --kind dissipative", "dim", "R", "mass", "hbar")
         if args.R is None or args.R <= 0:
             raise ConfigError("dissipative algebra needs --R > 0")
         params = DissipativeParams(M=_setting(args.mass, {}, "M", "--mass", "number", 1.0),

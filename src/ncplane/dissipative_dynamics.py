@@ -78,6 +78,8 @@ __all__ = [
 ]
 
 POLY_MAX_DEGREE = 6
+_DENSITY_TOL = 1e-12  # validate_density_matrix's bound on the Hermiticity and trace errors
+_PEAK_FLOOR = 0.1  # bohr_frequencies' peaks reach this fraction of the tallest one
 
 
 @dataclass(frozen=True)
@@ -231,8 +233,8 @@ class DivergenceError(RuntimeError):
 _BLOCK_STEPS = 4096
 
 
-def _integrate(initial: TwoCoordState, params: DissipativeParams, dt: float, steps: int,
-               stacklevel: int) -> np.ndarray:
+def _integrate(initial: TwoCoordState, params: DissipativeParams, dt: float,
+               steps: int) -> np.ndarray:
     """The RK4 kernel behind integrate_array and integrate_trajectory."""
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -246,7 +248,7 @@ def _integrate(initial: TwoCoordState, params: DissipativeParams, dt: float, ste
             f"dt * gamma = {dt * params.gamma:g} >= 1: fixed-step RK4 is unreliable here "
             "(recommended dt * gamma < 0.1)",
             RuntimeWarning,
-            stacklevel=stacklevel + 1,
+            stacklevel=3,  # the line that called integrate_array or integrate_trajectory
         )
 
     m = params.M
@@ -310,7 +312,7 @@ def integrate_array(
     trustworthy there.  Raises DivergenceError (with the failing step
     index) if the state stops being finite.
     """
-    return _integrate(initial, params, dt, steps, stacklevel=2)
+    return _integrate(initial, params, dt, steps)
 
 
 def integrate_trajectory(
@@ -320,7 +322,7 @@ def integrate_trajectory(
     steps: int,
 ) -> list[TwoCoordState]:
     """integrate_array's trajectory as steps + 1 TwoCoordState objects."""
-    arr = _integrate(initial, params, dt, steps, stacklevel=2)
+    arr = _integrate(initial, params, dt, steps)
     return [TwoCoordState(xp, xm, vp, vm, t) for t, xp, xm, vp, vm in arr.tolist()]
 
 
@@ -544,11 +546,11 @@ def _strict_upper(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return index
 
 
-def validate_density_matrix(rho, tol: float = 1e-12) -> np.ndarray:
+def validate_density_matrix(rho) -> np.ndarray:
     """Check Hermiticity and unit trace, returning a C-ordered complex copy.
 
     The Hermiticity defect is max |rho - rho^dagger|; a NaN or inf entry
-    makes it NaN, which fails the check like any defect above tol.
+    makes it NaN, which fails the check like any defect above _DENSITY_TOL.
     """
     arr = np.array(rho, dtype=complex, order="C")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -559,10 +561,10 @@ def validate_density_matrix(rho, tol: float = 1e-12) -> np.ndarray:
     defect = float(np.abs(diff).max(initial=0.0))
     if math.isnan(defect):
         raise ValueError("density matrix has non-finite entries")
-    if not defect <= tol:
-        raise ValueError(f"density matrix is not Hermitian: defect {defect:g} > {tol:g}")
+    if not defect <= _DENSITY_TOL:
+        raise ValueError(f"density matrix is not Hermitian: defect {defect:g} > {_DENSITY_TOL:g}")
     tr = complex(arr.trace())
-    if not abs(tr - 1.0) <= tol:
+    if not abs(tr - 1.0) <= _DENSITY_TOL:
         raise ValueError(f"density matrix trace must be 1, got {tr}")
     return arr
 
@@ -630,13 +632,13 @@ def _stack_sample(rhos, k: int, d: int | None = None) -> np.ndarray:
     return arr
 
 
-def bohr_frequencies(rhos, dt: float, threshold: float = 0.1) -> np.ndarray:
+def bohr_frequencies(rhos, dt: float) -> np.ndarray:
     """Transition frequencies from a uniformly sampled density trajectory.
 
     rhos is a sequence of density matrices sampled every dt.  Each
     off-diagonal entry rotates at one Bohr frequency, so a Hann-windowed
     periodogram summed over entries shows a peak per distinct energy
-    difference.  Local maxima above `threshold` times the tallest peak are
+    difference.  Local maxima above _PEAK_FLOOR times the tallest peak are
     returned as positive angular frequencies, sorted ascending, each
     accurate to one DFT bin (2 pi / (N dt)).  A record with no rotating
     off-diagonal content returns an empty array.
@@ -665,8 +667,6 @@ def bohr_frequencies(rhos, dt: float, threshold: float = 0.1) -> np.ndarray:
         )
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not (0 < threshold <= 1):
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     d = _stack_sample(rhos, 0).shape[0]
     upper = _strict_upper(d)[2]
     entries = np.empty((n, upper.size), dtype=complex)
@@ -699,5 +699,5 @@ def bohr_frequencies(rhos, dt: float, threshold: float = 0.1) -> np.ndarray:
     if pmax <= 1e-24 * n * max(raw_power, 1.0):
         return np.array([])
     padded = np.concatenate(([-np.inf], folded, [-np.inf]))
-    peaks = (folded >= threshold * pmax) & (folded >= padded[:-2]) & (folded >= padded[2:])
+    peaks = (folded >= _PEAK_FLOOR * pmax) & (folded >= padded[:-2]) & (folded >= padded[2:])
     return (np.flatnonzero(peaks) + 1) * (2.0 * math.pi / (n * dt))

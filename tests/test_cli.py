@@ -532,7 +532,8 @@ def test_algebra_dissipative_requires_friction(capsys):
 @pytest.mark.parametrize("dim", ["1", "2"])
 def test_algebra_small_dim_names_the_table_minimum(kind, dim, capsys):
     # the table needs dim >= 3; that check runs before the factors are built
-    code, out, err = run_cli(["algebra", "--kind", kind, "--dim", dim, "--R", "0.5"], capsys)
+    friction = ["--R", "0.5"] if kind == "dissipative" else []
+    code, out, err = run_cli(["algebra", "--kind", kind, "--dim", dim, *friction], capsys)
     assert code == 2
     assert out == ""
     assert f"dim must be >= 3, got {dim}" in err
@@ -565,6 +566,24 @@ def test_spectrum_omega_c_names_the_field_flags_it_would_ignore(capsys):
     (["phase", "--path1", "@loop", "--path2", "@loop", "--hbar", "2", "--mass", "3"],
      "phase --path1/--path2", "--mass"),
     (["phase", "--scene", "@scene", "--hbar", "2"], "phase --scene", "--hbar"),
+    # flags other than the field flags
+    (["algebra", "--kind", "magnetic", "--dim", "3", "--R", "0.5"], "algebra --kind magnetic",
+     "--R"),
+    (["phase", "--scene", "@scene", "--L", "2"], "phase --scene", "--L"),
+    (["phase", "--path1", "@loop", "--path2", "@loop", "--L", "3"], "phase --path1/--path2",
+     "--L"),
+    (["spectrum", "--kind", "distance", "--L", "1", "--dim", "2", "--n-max", "5",
+      "--omega-c", "2"], "spectrum --kind distance", "--omega-c, --n-max"),
+    (["spectrum", "--kind", "landau", "--B", "1", "--n-max", "1", "--L", "3", "--dim", "4"],
+     "spectrum --kind landau", "--L, --dim"),
+    (["evolve", "--M", "1", "--R", "0.2", "--potential", "free", "--k", "3", "--coeffs", "1,2",
+      "--dt", "0.1", "--steps", "2"], "evolve with a free potential", "--k, --coeffs"),
+    (["evolve", "--M", "1", "--R", "0.2", "--potential", "harmonic", "--k", "3", "--coeffs",
+      "1,2", "--dt", "0.1", "--steps", "2"], "evolve with a harmonic potential", "--coeffs"),
+    (["evolve", "--M", "1", "--R", "0.2", "--potential", "polynomial", "--k", "3", "--coeffs",
+      "1,2", "--dt", "0.1", "--steps", "2"], "evolve with a polynomial potential", "--k"),
+    (["phase", "--loop", "@loop", "--ab", "--B", "1", "--L", "2"],
+     'phase --loop with --ab or a "magnetic" object', "--L"),
 ])
 def test_field_flags_a_route_does_not_read_are_errors(tmp_path, capsys, argv, route, ignored):
     write_loop_csv(tmp_path / "loop", [(0, 0), (1, 0), (1, 1), (0, 1)])
