@@ -271,31 +271,39 @@ def _csv_cells(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return out
 
 
-def _emit_csv(header: str, table: np.ndarray, out_path: str | None) -> None:
+def _row_blocks(table) -> tuple:
+    """The block size and the (first row, rows) blocks of a table, an array or
+    any object with a shape that gives a row slice as an array."""
+    block = max(1, min(table.shape[0], CSV_BLOCK_ROWS))
+    return block, ((lo, table[lo:lo + block]) for lo in range(0, table.shape[0], block))
+
+
+def _emit_csv(header: str, table, out_path: str | None) -> None:
     """Header line, then one row per table row, each value as "%.17g" % value
     writes it; rows are formatted CSV_BLOCK_ROWS at a time."""
-    rows, cols = table.shape
-    block = max(1, min(rows, CSV_BLOCK_ROWS))
-    buf = np.tile(_TEMPLATE, (block, cols, 1))
+    block, blocks = _row_blocks(table)
+    buf = np.tile(_TEMPLATE, (block, table.shape[1], 1))
     buf[:, -1, _SEP] = ord("\n")
-    buf = buf.reshape(block * cols, _SLOTS)
+    buf = buf.reshape(-1, _SLOTS)
     with (contextlib.nullcontext(sys.stdout) if out_path is None
           else open(out_path, "w", newline="")) as fh:
         fh.write(header + "\n")
-        for lo in range(0, rows, block):
-            x = table[lo:lo + block].ravel()
+        for _, rows in blocks:
+            x = rows.ravel()
             fh.write(_csv_cells(x, buf[:len(x)]).tobytes().decode("ascii"))
 
 
-def _require_finite(header: str, table: np.ndarray) -> None:
-    """Raise ValueError naming the column and row of the first NaN or infinity."""
-    finite = np.isfinite(table)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise ValueError(
-            f"output column {header.split(',')[col]} is not finite in row {row}: "
-            f"{float(table[row, col])}"
-        )
+def _require_finite(header: str, table) -> None:
+    """Raise ValueError naming the column and row of the first NaN or infinity,
+    in row-major order; the table is read as _emit_csv reads it."""
+    for lo, rows in _row_blocks(table)[1]:
+        finite = np.isfinite(rows)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise ValueError(
+                f"output column {header.split(',')[col]} is not finite in row {lo + row}: "
+                f"{float(rows[row, col])}"
+            )
 
 
 def _nonfinite_key(obj, key: str = "") -> str | None:
@@ -619,10 +627,11 @@ def run_spectrum(args) -> int:
 
 # ------------------------------------------------------------------- evolve
 
-def _evolve_summary(traj, params, h, xi, dt: float) -> dict:
-    """Run summary from the trajectory's columns; xi is None without
-    canonical columns."""
+def _evolve_summary(traj, params, h, canonical: bool, dt: float) -> dict:
+    """Run summary from the trajectory's columns and H; the canonical
+    summary derives its xi pair here, so that it is freed on return."""
     steps = len(traj) - 1
+    xi = np.column_stack(canonical_coords(traj, params).xi) if canonical else None
     summary = {
         "dt": dt,
         "steps": steps,
@@ -654,6 +663,25 @@ def _evolve_summary(traj, params, h, xi, dt: float) -> dict:
         )
         summary["max_diagonal_split"] = float(np.abs(xp - xm).max())
     return summary
+
+
+class _EvolveRows:
+    """evolve's CSV table, read by row slices: each slice derives its xi, X
+    and orbit-invariant columns from the trajectory and H, which are all that
+    is held for the whole run."""
+
+    def __init__(self, traj: np.ndarray, h: np.ndarray, params, canonical: bool):
+        self.shape = (len(traj), len(EVOLVE_HEADER[canonical].split(",")))
+        self._traj, self._h, self._params, self._canonical = traj, h, params, canonical
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        traj, h = self._traj[rows], self._h[rows]
+        if not self._canonical:
+            return np.column_stack((traj, h))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cc = canonical_coords(traj, self._params)
+            xi = np.column_stack(cc.xi)
+            return np.column_stack((traj, xi, cc.X_plus, cc.X_minus, h, orbit_invariant(xi)))
 
 
 def run_evolve(args) -> int:
@@ -689,17 +717,10 @@ def run_evolve(args) -> int:
     # a NaN or infinity is reported by the checks below, by column or key
     with np.errstate(over="ignore", invalid="ignore"):
         h = hamiltonian_value(traj, params)
-        xi = None
-        if want_canonical:
-            cc = canonical_coords(traj, params)
-            xi = np.column_stack(cc.xi)
-            columns = (traj, xi, cc.X_plus, cc.X_minus, h, orbit_invariant(xi))
-        else:
-            columns = (traj, h)
-        table = np.column_stack(columns)
+        table = _EvolveRows(traj, h, params, want_canonical)
         _require_finite(header, table)
         # encoded before the CSV is written, so a bad summary writes nothing
-        summary = _json_line(_evolve_summary(traj, params, h, xi, dt))
+        summary = _json_line(_evolve_summary(traj, params, h, want_canonical, dt))
     _emit_csv(header, table, out)
     _emit(summary, None)
     return EXIT_OK
@@ -733,7 +754,6 @@ def _winding_report(scene) -> dict:
 def run_phase(args) -> int:
     cfg = _load_config(args.config, args.command) if args.config else {}
     out = _setting(args.out, cfg, "out", "out", "path", None)
-    hbar = _setting(args.hbar, cfg, "hbar", "hbar", "number", 1.0)
     scene_data = _scene_from(args, cfg)
     loop = _loop_from(args, cfg)
     p1 = _setting(args.path1, cfg, "path1_csv", "path1_csv", "path", None)
@@ -754,6 +774,8 @@ def run_phase(args) -> int:
         if p1 is None or p2 is None:
             raise ConfigError("action route needs both --path1 and --path2")
         _reads_only(args, "phase --path1/--path2", "path1", "path2", "hbar")
+        # the top-level hbar: read on this route and the plain loop route only
+        hbar = _setting(args.hbar, cfg, "hbar", "hbar", "number", 1.0)
         path1 = _read_path_csv(p1)
         path2 = _read_path_csv(p2)
         phase = interference_phase_action(path1, path2, hbar)
@@ -773,6 +795,7 @@ def run_phase(args) -> int:
         return EXIT_OK
 
     _reads_only(args, "phase --loop without --ab or a \"magnetic\" object", "loop", "L", "hbar")
+    hbar = _setting(args.hbar, cfg, "hbar", "hbar", "number", 1.0)
     params = NcParams(L=_setting(args.L, cfg, "L", "L", "number"), hbar=hbar)
     phase_area = interference_phase_area(loop, params)
     phase_action = loop_action_phase(loop, params)

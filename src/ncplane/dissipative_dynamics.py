@@ -221,11 +221,13 @@ def eom_rhs(state: TwoCoordState, params: DissipativeParams):
 
 
 class DivergenceError(RuntimeError):
-    """Trajectory produced a non-finite state; .step is the failing step."""
+    """Trajectory produced a non-finite state; .step is the failing step and
+    .state the last finite row (t, x+, x-, v+, v-), the one before it."""
 
-    def __init__(self, step: int, t: float):
+    def __init__(self, step: int, t: float, state: tuple | None = None):
         self.step = step
         self.t = t
+        self.state = state
         super().__init__(f"trajectory diverged at step {step} (t = {t:g}): non-finite state")
 
 
@@ -263,8 +265,8 @@ def _integrate(initial: TwoCoordState, params: DissipativeParams, dt: float,
     isfinite = math.isfinite
     for lo in range(1, steps + 1, _BLOCK_STEPS):
         hi = min(lo + _BLOCK_STEPS, steps + 1)
-        rows = []
-        push = rows.append
+        flat = []
+        push = flat.extend
         for _ in range(lo, hi):
             # stage k evaluates (x, x', v, v') -> (v, v', -(R v' + U'(x)) / M, ...)
             f1 = -(r * vm + du(xp)) / m
@@ -288,12 +290,13 @@ def _integrate(initial: TwoCoordState, params: DissipativeParams, dt: float,
                 vm + sixth * (g1 + 2.0 * (g2 + g3) + g4),
             )
             push((xp, xm, vp, vm))
-        out[lo:hi, 1:] = rows
+        out[lo:hi, 1:] = np.fromiter(flat, float, 4 * (hi - lo)).reshape(-1, 4)
         # a non-finite coordinate stays non-finite, so the block's last row
         # tells whether any row of the block failed
         if not (isfinite(xp) and isfinite(xm) and isfinite(vp) and isfinite(vm)):
             step = lo + int(np.argmin(np.isfinite(out[lo:hi, 1:]).all(axis=1)))
-            raise DivergenceError(step=step, t=t0 + step * dt)
+            raise DivergenceError(step=step, t=t0 + step * dt,
+                                  state=tuple(out[step - 1].tolist()))
     return out
 
 
@@ -341,19 +344,27 @@ def _state_fields(state):
     return arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4]
 
 
+# elements per Python list in _square
+_SQUARE_SLICE = 4096
+
+
 def _square(v, name: str):
     """v ** 2 by the float power of Python, element by element for arrays.
 
     That power calls the C library pow, which rounds a few squares in a
     thousand differently from v * v (np.square); going through it keeps the
-    array form equal, bit for bit, to the value of a single state.  A finite
-    value whose square overflows raises ValueError naming the column (name)
-    and the row.
+    array form equal, bit for bit, to the value of a single state.  An array
+    goes through it _SQUARE_SLICE elements at a time, so no list of the whole
+    column is built.  A finite value whose square overflows raises ValueError
+    naming the column (name) and the row.
     """
     try:
-        if isinstance(v, np.ndarray):
-            return np.array([x ** 2 for x in v.tolist()])
-        return v ** 2
+        if not isinstance(v, np.ndarray):
+            return v ** 2
+        out = np.empty(len(v))
+        for lo in range(0, len(v), _SQUARE_SLICE):
+            out[lo:lo + _SQUARE_SLICE] = [x ** 2 for x in v[lo:lo + _SQUARE_SLICE].tolist()]
+        return out
     except OverflowError:
         pass
     for row, x in enumerate(np.atleast_1d(v).tolist()):

@@ -496,6 +496,32 @@ def test_phase_numeric_settings_are_strict(tmp_path, capsys, extra, name):
     assert out == ""
 
 
+@pytest.mark.parametrize("route", ["magnetic", "scene_json"])
+def test_phase_routes_without_hbar_leave_the_top_level_hbar_unread(tmp_path, capsys, route):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(
+        {"core_loop": [[0, 0], [2, 0], [2, 2], [0, 2]], "atoms": [[0.5, 0.5]], "sigma": 1}))
+    cfg = ({"loop": [[0, 0], [1, 0], [1, 1]], "magnetic": {"B": 1.0}} if route == "magnetic"
+           else {"scene_json": str(scene)})
+    path = tmp_path / "phase.json"
+    path.write_text(json.dumps({"schema_version": 1, **cfg, "hbar": "x"}))
+    code, out, err = run_cli(["phase", "--config", str(path)], capsys)
+    assert code == 0, err
+    assert json.loads(out)
+
+
+def test_phase_paths_route_reads_the_top_level_hbar(tmp_path, capsys):
+    write_loop_csv(tmp_path / "p1.csv", [(0, 0), (0, 1), (1, 1), (1, 0)])
+    write_loop_csv(tmp_path / "p2.csv", [(0, 0), (1, 0)])
+    path = tmp_path / "phase.json"
+    path.write_text(json.dumps({"schema_version": 1, "path1_csv": str(tmp_path / "p1.csv"),
+                                "path2_csv": str(tmp_path / "p2.csv"), "hbar": "x"}))
+    code, out, err = run_cli(["phase", "--config", str(path)], capsys)
+    assert code == 2
+    assert err == "error: setting \"hbar\" must be a number, got 'x'\n"
+    assert out == ""
+
+
 def test_phase_config_numbers_still_accept_integers(tmp_path, capsys):
     path = tmp_path / "phase.json"
     path.write_text(json.dumps({"schema_version": 1, "loop": [[0, 0], [1, 0], [1, 1]],

@@ -717,6 +717,22 @@ def test_divergence_step_does_not_depend_on_the_block(monkeypatch, block):
     assert exc_info.value.t == 0.25 + step * 0.5
 
 
+def test_divergence_carries_the_last_finite_state():
+    params = DissipativeParams(
+        M=1.0, R=0.5, potential=Potential.polynomial([0.0, 0.0, 0.0, 0.0, -1.0])
+    )
+    state = TwoCoordState(1.0, 1.0, 2.0, 2.0, t=0.25)
+    with pytest.raises(DivergenceError) as exc_info:
+        integrate_array(state, params, 0.5, 2000)
+    err = exc_info.value
+    assert str(err) == f"trajectory diverged at step {err.step} (t = {err.t:g}): non-finite state"
+    assert err.step > 1
+    # the row before the failing step, as a run that stops there ends
+    assert err.state == tuple(integrate_array(state, params, 0.5, err.step - 1)[-1].tolist())
+    assert all(math.isfinite(v) for v in err.state)
+    assert err.state[0] == 0.25 + (err.step - 1) * 0.5
+
+
 def test_integrate_array_validates_like_the_list_form():
     params = DissipativeParams(M=1.0, R=2.0)
     state = TwoCoordState(0.0, 0.0, 1.0, 1.0)
