@@ -668,14 +668,23 @@ def _evolve_summary(traj, params, h, canonical: bool, dt: float) -> dict:
 class _EvolveRows:
     """evolve's CSV table, read by row slices: each slice derives its xi, X
     and orbit-invariant columns from the trajectory and H, which are all that
-    is held for the whole run."""
+    is held for the whole run.
+
+    The check and the writer read the same slices in turn; the last slice is
+    kept, so a table of one block is derived once.
+    """
 
     def __init__(self, traj: np.ndarray, h: np.ndarray, params, canonical: bool):
         self.shape = (len(traj), len(EVOLVE_HEADER[canonical].split(",")))
         self._traj, self._h, self._params, self._canonical = traj, h, params, canonical
+        self._last = (None, None)
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        traj, h = self._traj[rows], self._h[rows]
+        if rows != self._last[0]:
+            self._last = (rows, self._derive(self._traj[rows], self._h[rows]))
+        return self._last[1]
+
+    def _derive(self, traj: np.ndarray, h: np.ndarray) -> np.ndarray:
         if not self._canonical:
             return np.column_stack((traj, h))
         with np.errstate(over="ignore", invalid="ignore"):
