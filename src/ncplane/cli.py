@@ -721,7 +721,10 @@ def run_evolve(args) -> int:
     want_canonical = (params.R > 0) if canonical is None else canonical
     out = _setting(args.out, cfg, "out", "out", "path", None)
 
-    traj = integrate_array(initial, params, dt, steps)
+    with warnings.catch_warnings():
+        # the library's RuntimeWarning as one stderr line, without a source location
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        traj = integrate_array(initial, params, dt, steps)
     header = EVOLVE_HEADER[want_canonical]
     # a NaN or infinity is reported by the checks below, by column or key
     with np.errstate(over="ignore", invalid="ignore"):

@@ -27,11 +27,13 @@ invariant, and the generator restricted to pure friction is
 H_friction = (hbar^2 / (2 M L^4)) (xi_minus^2 - xi_plus^2).
 
 A trajectory is an (N, 5) array with columns t, x+, x-, v+, v-:
-integrate_array fills it from one scalar RK4 loop, and hamiltonian_value,
-canonical_momenta and canonical_coords take such an array as well as a
-single TwoCoordState, returning one column per quantity with the same bits
-the per-state call gives.  integrate_trajectory (a list of TwoCoordState)
-and trajectory_to_array (a list back to the array) convert between the two.
+integrate_array, the integrator, fills it from one scalar RK4 loop, and
+hamiltonian_value, canonical_momenta and canonical_coords take such an
+array as well as a single TwoCoordState, returning one column per quantity
+with the same bits the per-state call gives.  The list view,
+integrate_trajectory (integrate_array's rows as TwoCoordState objects),
+trajectory_to_array and eom_rhs, is kept only because the benchmark's
+tracer looks these names up.
 
 The quantized inverted oscillator behind the boost transmits wavepackets
 with probability P(omega) = 1 / (1 + exp(-2 pi omega / G)), and energy
@@ -235,9 +237,21 @@ class DivergenceError(RuntimeError):
 _BLOCK_STEPS = 4096
 
 
-def _integrate(initial: TwoCoordState, params: DissipativeParams, dt: float,
-               steps: int) -> np.ndarray:
-    """The RK4 kernel behind integrate_array and integrate_trajectory."""
+def integrate_array(
+    initial: TwoCoordState,
+    params: DissipativeParams,
+    dt: float,
+    steps: int,
+) -> np.ndarray:
+    """Fixed-step RK4 integration of the doubled equations of motion.
+
+    Returns the trajectory as an (steps + 1, 5) array with columns t, x+,
+    x-, v+, v-, the initial state first; row k is at t0 + k * dt.  dt *
+    gamma < 0.1 is the recommended operating range; at dt * gamma >= 1 a
+    RuntimeWarning is emitted because fixed-step RK4 is no longer
+    trustworthy there.  Raises DivergenceError (with the failing step
+    index) if the state stops being finite.
+    """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not isinstance(steps, (int, np.integer)) or steps < 1:
@@ -250,7 +264,7 @@ def _integrate(initial: TwoCoordState, params: DissipativeParams, dt: float,
             f"dt * gamma = {dt * params.gamma:g} >= 1: fixed-step RK4 is unreliable here "
             "(recommended dt * gamma < 0.1)",
             RuntimeWarning,
-            stacklevel=3,  # the line that called integrate_array or integrate_trajectory
+            stacklevel=2,  # the line that called integrate_array
         )
 
     m = params.M
@@ -300,24 +314,6 @@ def _integrate(initial: TwoCoordState, params: DissipativeParams, dt: float,
     return out
 
 
-def integrate_array(
-    initial: TwoCoordState,
-    params: DissipativeParams,
-    dt: float,
-    steps: int,
-) -> np.ndarray:
-    """Fixed-step RK4 integration of the doubled equations of motion.
-
-    Returns the trajectory as an (steps + 1, 5) array with columns t, x+,
-    x-, v+, v-, the initial state first; row k is at t0 + k * dt.  dt *
-    gamma < 0.1 is the recommended operating range; at dt * gamma >= 1 a
-    RuntimeWarning is emitted because fixed-step RK4 is no longer
-    trustworthy there.  Raises DivergenceError (with the failing step
-    index) if the state stops being finite.
-    """
-    return _integrate(initial, params, dt, steps)
-
-
 def integrate_trajectory(
     initial: TwoCoordState,
     params: DissipativeParams,
@@ -325,7 +321,7 @@ def integrate_trajectory(
     steps: int,
 ) -> list[TwoCoordState]:
     """integrate_array's trajectory as steps + 1 TwoCoordState objects."""
-    arr = _integrate(initial, params, dt, steps)
+    arr = integrate_array(initial, params, dt, steps)
     return [TwoCoordState(xp, xm, vp, vm, t) for t, xp, xm, vp, vm in arr.tolist()]
 
 
@@ -344,36 +340,27 @@ def _state_fields(state):
     return arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4]
 
 
-# elements per Python list in _square
-_SQUARE_SLICE = 4096
-
-
 def _square(v, name: str):
-    """v ** 2 by the float power of Python, element by element for arrays.
+    """v ** 2 by the C library pow, the float power of Python.
 
-    That power calls the C library pow, which rounds a few squares in a
-    thousand differently from v * v (np.square); going through it keeps the
-    array form equal, bit for bit, to the value of a single state.  An array
-    goes through it _SQUARE_SLICE elements at a time, so no list of the whole
-    column is built.  A finite value whose square overflows raises ValueError
-    naming the column (name) and the row.
+    np.float_power calls that pow on every element, so an array form and
+    the value of a single state (a Python float) agree bit for bit.  v * v
+    (np.square) rounds a few squares in a thousand differently, and
+    np.power may run a SIMD loop that differs on some hosts.  A finite
+    value whose square overflows raises ValueError naming the column (name)
+    and the first such row; an infinite value squares to inf.
     """
-    try:
-        if not isinstance(v, np.ndarray):
-            return v ** 2
-        out = np.empty(len(v))
-        for lo in range(0, len(v), _SQUARE_SLICE):
-            out[lo:lo + _SQUARE_SLICE] = [x ** 2 for x in v[lo:lo + _SQUARE_SLICE].tolist()]
-        return out
-    except OverflowError:
-        pass
-    for row, x in enumerate(np.atleast_1d(v).tolist()):
-        try:
-            x ** 2
-        except OverflowError:
+    with np.errstate(over="ignore"):
+        sq = np.float_power(v, 2.0)
+    if not np.isfinite(sq).all():
+        over = np.isinf(sq) & np.isfinite(v)
+        if over.any():
+            row = int(np.argmax(over))
             raise ValueError(
-                f"Hamiltonian overflows: {name} = {x!r} in row {row} is too large to square"
-            ) from None
+                f"Hamiltonian overflows: {name} = {float(np.atleast_1d(v)[row])!r} "
+                f"in row {row} is too large to square"
+            )
+    return sq if isinstance(sq, np.ndarray) else float(sq)
 
 
 def hamiltonian_value(state, params: DissipativeParams):

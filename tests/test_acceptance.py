@@ -23,7 +23,7 @@ from ncplane import (
     flux_quantization,
     hamiltonian_value,
     hyperbolic_evolve,
-    integrate_trajectory,
+    integrate_array,
     interference_phase_area,
     kappa_commutator_check,
     landau_hamiltonian,
@@ -148,8 +148,8 @@ def test_criterion_06_dissipative_dynamics():
     # (a) diagonal data reproduce the damped classical equation
     params_a = DissipativeParams(M=1.0, R=0.3, potential=Potential.harmonic(1.0))
     dt_a = 1e-3 / params_a.gamma
-    states_a = integrate_trajectory(TwoCoordState(1.0, 1.0, 0.0, 0.0), params_a, dt_a, 6000)
-    x = np.array([0.5 * (s.x_plus + s.x_minus) for s in states_a])
+    traj_a = integrate_array(TwoCoordState(1.0, 1.0, 0.0, 0.0), params_a, dt_a, 6000)
+    x = 0.5 * (traj_a[:, 1] + traj_a[:, 2])
     acc = (x[2:] - 2 * x[1:-1] + x[:-2]) / dt_a**2
     vel = (x[2:] - x[:-2]) / (2 * dt_a)
     residual = np.abs(params_a.M * acc + params_a.R * vel + 1.0 * x[1:-1]).max()
@@ -159,31 +159,23 @@ def test_criterion_06_dissipative_dynamics():
     params_b = DissipativeParams(M=1.0, R=0.5)
     dt_b = 1e-3 / params_b.gamma
     steps_b = 3000  # Gamma t runs up to 3
-    states_b = integrate_trajectory(
-        TwoCoordState(0.3, -0.2, 0.9, 0.4), params_b, dt_b, steps_b
-    )
-    xi0 = np.array(canonical_coords(states_b[0], params_b).xi)
-    dev_b = 0.0
-    for s in states_b:
-        xi_num = np.array(canonical_coords(s, params_b).xi)
-        xi_closed = hyperbolic_evolve(xi0, params_b.gamma, s.t - states_b[0].t)
-        dev_b = max(dev_b, np.abs(xi_num - xi_closed).max())
+    traj_b = integrate_array(TwoCoordState(0.3, -0.2, 0.9, 0.4), params_b, dt_b, steps_b)
+    xi_b = np.column_stack(canonical_coords(traj_b, params_b).xi)
+    xi0 = xi_b[0]
+    xi_closed = hyperbolic_evolve(xi0, params_b.gamma, traj_b[:, 0] - traj_b[0, 0])
+    dev_b = np.abs(xi_b - xi_closed).max()
     ok_b = dev_b < 1e-6
 
     # (c) Hamiltonian and orbit-invariant drift per unit Gamma t
     params_c = DissipativeParams(M=1.0, R=0.3, potential=Potential.harmonic(1.0))
     dt_c = 1e-3 / params_c.gamma
-    states_c = integrate_trajectory(TwoCoordState(0.5, -0.3, 0.2, 0.7), params_c, dt_c, 6000)
+    traj_c = integrate_array(TwoCoordState(0.5, -0.3, 0.2, 0.7), params_c, dt_c, 6000)
     gamma_t_c = params_c.gamma * dt_c * 6000
-    h0 = hamiltonian_value(states_c[0], params_c)
-    h_drift = max(
-        abs(hamiltonian_value(s, params_c) - h0) for s in states_c
-    ) / max(1.0, abs(h0)) / gamma_t_c
+    h = hamiltonian_value(traj_c, params_c)
+    h_drift = np.abs(h - h[0]).max() / max(1.0, abs(h[0])) / gamma_t_c
     gamma_t_b = params_b.gamma * dt_b * steps_b
-    inv0 = orbit_invariant(xi0)
-    inv_drift = max(
-        abs(orbit_invariant(canonical_coords(s, params_b).xi) - inv0) for s in states_b
-    ) / max(1.0, abs(inv0)) / gamma_t_b
+    inv = orbit_invariant(xi_b)
+    inv_drift = np.abs(inv - inv[0]).max() / max(1.0, abs(inv[0])) / gamma_t_b
     ok_c = h_drift < 1e-7 and inv_drift < 1e-7
 
     ok = ok_a and ok_b and ok_c

@@ -145,6 +145,42 @@ def test_evolve_divergence_exit_code(tmp_path, capsys):
     assert "diverged" in err
 
 
+COARSE_STEP_WARNING = (
+    "warning: dt * gamma = 1 >= 1: fixed-step RK4 is unreliable here "
+    "(recommended dt * gamma < 0.1)\n"
+)
+
+
+def test_evolve_coarse_step_warns_in_one_line(capsys):
+    code, out, err = run_cli(["evolve", "--M", "1", "--R", "2", "--x-plus", "1", "--dt", "0.5",
+                              "--steps", "2"], capsys)
+    assert code == 0
+    assert err == COARSE_STEP_WARNING
+    row = "1,0,0,0,-0,0,1,0,0,0\n"
+    assert out == (
+        "t,x_plus,x_minus,v_plus,v_minus,xi_plus,xi_minus,X_plus,X_minus,hamiltonian,"
+        "orbit_invariant\n" + "".join(f"{t},{row}" for t in ("0", "0.5", "1"))
+        + '{"dt": 0.5, "gamma_t_total": 2.0, "hyperbolic_max_deviation": 0.0, '
+        '"max_hamiltonian_drift": 0.0, "max_orbit_invariant_drift": 0.0, "steps": 2}\n'
+    )
+
+
+def test_evolve_coarse_step_warning_comes_before_the_divergence():
+    # a fresh interpreter, so stderr is what a user sees: no source location
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncplane.cli", "evolve", "--M", "1", "--R", "0.5",
+         "--potential", "polynomial", "--coeffs", "0,0,0,0,-1", "--x-plus", "1",
+         "--x-minus", "1", "--v-plus", "2", "--v-minus", "2", "--dt", "2", "--steps", "2000"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        COARSE_STEP_WARNING + "error: trajectory diverged at step 3 (t = 6): non-finite state\n"
+    )
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("canonical", "false"), ("canonical", 1), ("steps", 3.9), ("steps", 3.0),

@@ -33,10 +33,8 @@ from ncplane import (
     hamiltonian_value,
     hyperbolic_evolve,
     integrate_array,
-    integrate_trajectory,
     kappa_commutator_check,
     orbit_invariant,
-    trajectory_to_array,
     transmission_coefficient,
     validate_density_matrix,
 )
@@ -96,8 +94,7 @@ def test_underdamped_frequency():
     params = DissipativeParams(M=1.0, R=0.2, potential=Potential.harmonic(1.0))
     state = TwoCoordState(1.0, 1.0, 0.0, 0.0)
     dt = 0.001
-    states = integrate_trajectory(state, params, dt, 20000)
-    x = np.array([s.x_plus for s in states])
+    x = integrate_array(state, params, dt, 20000)[:, 1]
     # linear interpolation of the descending zero crossings
     crossings = []
     for i in range(1, len(x)):
@@ -112,10 +109,9 @@ def test_underdamped_frequency():
 def test_diagonal_initial_data_stays_diagonal():
     params = DissipativeParams(M=1.0, R=0.3, potential=Potential.harmonic(2.0))
     state = TwoCoordState(0.7, 0.7, -0.4, -0.4)
-    states = integrate_trajectory(state, params, 0.01, 400)
-    for s in states:
-        assert s.x_plus == s.x_minus
-        assert s.v_plus == s.v_minus
+    traj = integrate_array(state, params, 0.01, 400)
+    assert (traj[:, 1] == traj[:, 2]).all()
+    assert (traj[:, 3] == traj[:, 4]).all()
 
 
 def test_free_particle_velocity_decay():
@@ -123,19 +119,19 @@ def test_free_particle_velocity_decay():
     params = DissipativeParams(M=2.0, R=0.8)
     state = TwoCoordState(0.0, 0.0, 1.0, 1.0)
     dt = 0.002
-    states = integrate_trajectory(state, params, dt, 2500)
-    t_end = states[-1].t
-    assert states[-1].v_plus == pytest.approx(np.exp(-params.gamma * t_end), rel=1e-6)
+    t_end, _, _, v_plus, _ = integrate_array(state, params, dt, 2500)[-1]
+    assert v_plus == pytest.approx(np.exp(-params.gamma * t_end), rel=1e-6)
 
 
 def test_integrator_warns_on_coarse_step():
     params = DissipativeParams(M=1.0, R=2.0)
     state = TwoCoordState(0.0, 0.0, 1.0, 1.0)
-    with pytest.warns(RuntimeWarning, match="dt"):
-        integrate_trajectory(state, params, 0.5, 2)
+    with pytest.warns(RuntimeWarning, match="dt") as record:
+        integrate_array(state, params, 0.5, 2)
+    assert record[0].filename == __file__  # the caller's line, not the library's
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        integrate_trajectory(state, params, 0.01, 2)
+        integrate_array(state, params, 0.01, 2)
 
 
 def test_divergence_reports_step():
@@ -145,15 +141,15 @@ def test_divergence_reports_step():
     )
     state = TwoCoordState(1.0, 1.0, 2.0, 2.0)
     with pytest.raises(DivergenceError, match="diverged") as exc_info:
-        integrate_trajectory(state, params, 0.5, 2000)
+        integrate_array(state, params, 0.5, 2000)
     assert exc_info.value.step > 0
     assert exc_info.value.t > 0
 
 
 def test_trajectory_to_array_shape():
     params = DissipativeParams(M=1.0, R=0.1)
-    states = integrate_trajectory(TwoCoordState(0, 0, 1, 0), params, 0.1, 10)
-    arr = trajectory_to_array(states)
+    states = dissipative_dynamics.integrate_trajectory(TwoCoordState(0, 0, 1, 0), params, 0.1, 10)
+    arr = dissipative_dynamics.trajectory_to_array(states)
     assert arr.shape == (11, 5)
     np.testing.assert_allclose(arr[:, 0], 0.1 * np.arange(11), atol=1e-12)
     assert arr[0, 3] == 1.0
@@ -273,8 +269,8 @@ def test_friction_hamiltonian_equals_kinetic_split():
 def test_invariant_constant_along_free_trajectory():
     params = DissipativeParams(M=1.0, R=0.5)
     state = TwoCoordState(0.3, -0.2, 0.9, 0.4)
-    states = integrate_trajectory(state, params, 0.01, 600)
-    inv = [orbit_invariant(canonical_coords(s, params).xi) for s in states]
+    traj = integrate_array(state, params, 0.01, 600)
+    inv = orbit_invariant(np.column_stack(canonical_coords(traj, params).xi))
     assert np.abs(np.diff(inv)).max() < 1e-9
 
 
@@ -659,14 +655,14 @@ def test_rk4_array_equals_the_per_step_reference(potential, r):
     state = TwoCoordState(0.4, -0.25, 0.7, -0.1, t=0.5)
     arr = integrate_array(state, params, 0.01, 300)
     assert arr.tobytes() == rk4_reference(state, params, 0.01, 300).tobytes()
-    states = integrate_trajectory(state, params, 0.01, 300)
+    states = dissipative_dynamics.integrate_trajectory(state, params, 0.01, 300)
     assert states[0] == state
-    np.testing.assert_array_equal(trajectory_to_array(states), arr)
+    np.testing.assert_array_equal(dissipative_dynamics.trajectory_to_array(states), arr)
 
 
 def test_array_forms_equal_the_per_state_values():
-    # bit for bit: the kinetic term squares by the float power of Python, as
-    # hamiltonian_value does for a single state
+    # bit for bit: the kinetic term squares by the C library pow for an array
+    # as for a single state
     rng = np.random.default_rng(17)
     traj = np.column_stack([np.zeros(20000), rng.uniform(-3.0, 3.0, (20000, 4))])
     states = [TwoCoordState(xp, xm, vp, vm, t) for t, xp, xm, vp, vm in traj.tolist()]
@@ -702,6 +698,30 @@ def test_hamiltonian_overflow_names_the_row_and_the_column():
     traj[2, 4], traj[3, 3] = np.inf, 1e154
     assert hamiltonian_value(traj, params)[2] == -np.inf
     assert hamiltonian_value(traj, params)[3] == 0.5 * (1e154 ** 2)
+
+
+SQUARE_EDGE = 1.3407807929942596e154  # the largest float whose square is finite
+
+
+@settings(deadline=None, max_examples=300)
+@given(vs=st.lists(st.floats(-SQUARE_EDGE, SQUARE_EDGE), min_size=1, max_size=40))
+@example(vs=[SQUARE_EDGE, -SQUARE_EDGE, np.nextafter(SQUARE_EDGE, 0.0)])
+@example(vs=[5e-324, -5e-324, 2.2250738585072009e-308, 1.4916681462400413e-154, 1e-160])
+@example(vs=[-0.0, 0.0])
+# pow rounds these squares differently from v * v
+@example(vs=[1.8376620108236215, -0.5214443866709748, 8.044067707689175e-151,
+             9.367220132642594e+153])
+def test_hamiltonian_squares_by_the_float_power_of_python(vs):
+    # with M = 2, U = 0 and v- = 0, H is v+ ** 2 exactly: this checks that
+    # np.float_power reaches the C library pow that Python's float power calls
+    params = DissipativeParams(M=2.0, R=0.0)
+    v = np.array(vs)
+    want = [x ** 2 for x in v.tolist()]
+    traj = np.zeros((len(vs), 5))
+    traj[:, 3] = v
+    assert hamiltonian_value(traj, params).tobytes() == np.array(want).tobytes()
+    for x, sq in zip(v.tolist(), want):
+        assert same_bits(hamiltonian_value(TwoCoordState(0.0, 0.0, x, 0.0), params), sq)
 
 @pytest.mark.parametrize("block", [1, 3, 7, 4096])
 def test_divergence_step_does_not_depend_on_the_block(monkeypatch, block):
