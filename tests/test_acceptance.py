@@ -161,8 +161,7 @@ def test_criterion_06_dissipative_dynamics():
     steps_b = 3000  # Gamma t runs up to 3
     traj_b = integrate_array(TwoCoordState(0.3, -0.2, 0.9, 0.4), params_b, dt_b, steps_b)
     xi_b = np.column_stack(canonical_coords(traj_b, params_b).xi)
-    xi0 = xi_b[0]
-    xi_closed = hyperbolic_evolve(xi0, params_b.gamma, traj_b[:, 0] - traj_b[0, 0])
+    xi_closed = hyperbolic_evolve(xi_b[0], params_b.gamma, traj_b[:, 0] - traj_b[0, 0])
     dev_b = np.abs(xi_b - xi_closed).max()
     ok_b = dev_b < 1e-6
 

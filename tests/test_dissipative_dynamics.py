@@ -723,6 +723,7 @@ def test_hamiltonian_squares_by_the_float_power_of_python(vs):
     for x, sq in zip(v.tolist(), want):
         assert same_bits(hamiltonian_value(TwoCoordState(0.0, 0.0, x, 0.0), params), sq)
 
+
 @pytest.mark.parametrize("block", [1, 3, 7, 4096])
 def test_divergence_step_does_not_depend_on_the_block(monkeypatch, block):
     params = DissipativeParams(
