@@ -94,12 +94,15 @@ class ConfigError(ValueError):
     """Invalid configuration; mapped to exit code 2."""
 
 
+def _output(out_path: str | None):
+    """stdout (left open on exit), or the file out_path as written text."""
+    return (contextlib.nullcontext(sys.stdout) if out_path is None
+            else open(out_path, "w", newline=""))
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 # ----------------------------------------------------------------- CSV text
@@ -285,8 +288,7 @@ def _emit_csv(header: str, table, out_path: str | None) -> None:
     buf = np.tile(_TEMPLATE, (block, table.shape[1], 1))
     buf[:, -1, _SEP] = ord("\n")
     buf = buf.reshape(-1, _SLOTS)
-    with (contextlib.nullcontext(sys.stdout) if out_path is None
-          else open(out_path, "w", newline="")) as fh:
+    with _output(out_path) as fh:
         fh.write(header + "\n")
         for _, rows in blocks:
             x = rows.ravel()
@@ -336,13 +338,17 @@ def _emit_json(obj, out_path: str | None) -> None:
     _emit(_json_line(obj), out_path)
 
 
-def _load_json(path: str):
+def _load_json(path: str, what: str) -> dict:
+    """The JSON object in the file path; what names the file in errors."""
     with open(path) as fh:
         text = fh.read()
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} {path} must be a JSON object")
+    return data
 
 
 # field flag: its MagneticParams field, also its key in a "magnetic" config object
@@ -389,9 +395,7 @@ def _check_keys(node: dict, known: dict, where: str = "") -> None:
 
 
 def _load_config(path: str, command: str) -> dict:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
+    data = _load_json(path, "config")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
@@ -503,14 +507,16 @@ def _mismatch(value, name: str, kind: str) -> ConfigError:
     return ConfigError(f"setting \"{name}\" must be {what}, got {value!r}")
 
 
-def _setting(flag, node: dict, key: str, name: str, kind: str, default=_REQUIRED):
-    """One CLI setting: the flag when given, else node[key], else default.
+def _setting(flag, node: dict, name: str, kind: str, default=_REQUIRED):
+    """One CLI setting: the flag when given, else node[key], else default,
+    where key is the last dotted part of name.
 
     A null config value counts as absent, but is of the wrong kind for a
     required setting (no default).  Flags arrive typed from argparse and
     are checked like config values; errors name the setting by name.
     Numbers come back as floats, lists as float arrays.
     """
+    key = name.rpartition(".")[2]
     value = node.get(key) if flag is None else flag
     if value is None:
         if default is not _REQUIRED:
@@ -535,10 +541,10 @@ def _floats(text: str) -> list[float]:
 def _input(flag, cfg: dict, file_key: str, read, key: str, kind: str):
     """A scene or loop: read from the file that its flag, else cfg[file_key],
     names; else given inline as cfg[key]; else None."""
-    path = _setting(flag, cfg, file_key, file_key, "path", None)
+    path = _setting(flag, cfg, file_key, "path", None)
     if path is not None:
         return read(path)
-    return _setting(None, cfg, key, key, kind, None)
+    return _setting(None, cfg, key, kind, None)
 
 
 def _potential_from(node, kind=None, k=None, coeffs=None) -> Potential:
@@ -555,15 +561,13 @@ def _potential_from(node, kind=None, k=None, coeffs=None) -> Potential:
     if kind == "free":
         return Potential.free()
     if kind == "harmonic":
-        return Potential.harmonic(_setting(k, node, "k", "params.potential.k", "number"))
+        return Potential.harmonic(_setting(k, node, "params.potential.k", "number"))
     if kind == "polynomial":
         if coeffs is None and type(node.get("coeffs")) is not list:
             raise ConfigError(
                 f"polynomial potential needs a \"coeffs\" list, got {node.get('coeffs')!r}"
             )
-        return Potential.polynomial(
-            _setting(coeffs, node, "coeffs", "params.potential.coeffs", "numbers")
-        )
+        return Potential.polynomial(_setting(coeffs, node, "params.potential.coeffs", "numbers"))
     raise ConfigError(f"unknown potential kind {kind!r} (free, harmonic, polynomial)")
 
 
@@ -587,7 +591,7 @@ def _magnetic(args, node: dict, B=_REQUIRED) -> MagneticParams:
     """Field parameters: each field flag, else its key in node (a config's
     "magnetic" object), else its default (1.0; B has none unless given)."""
     return MagneticParams(**{
-        key: _setting(getattr(args, flag), node, key, f"magnetic.{key}", "number",
+        key: _setting(getattr(args, flag), node, f"magnetic.{key}", "number",
                       B if key == "B" else 1.0)
         for flag, key in _FIELD_FLAGS.items()
     })
@@ -598,9 +602,9 @@ def _magnetic(args, node: dict, B=_REQUIRED) -> MagneticParams:
 def run_spectrum(args) -> int:
     if args.kind == "distance":
         _reads_only(args, "spectrum --kind distance", "L", "dim", "hbar")
-        params = NcParams(L=_setting(args.L, {}, "L", "--L", "number"),
-                          hbar=_setting(args.hbar, {}, "hbar", "--hbar", "number", 1.0))
-        values = distance_spectrum(params, _setting(args.dim, {}, "dim", "--dim", "integer"))
+        params = NcParams(L=_setting(args.L, {}, "--L", "number"),
+                          hbar=_setting(args.hbar, {}, "--hbar", "number", 1.0))
+        values = distance_spectrum(params, _setting(args.dim, {}, "--dim", "integer"))
     else:
         _reads_only(args, "spectrum --kind landau", *_FIELD_FLAGS, "omega_c", "n_max")
         if args.omega_c is not None:
@@ -612,7 +616,7 @@ def run_spectrum(args) -> int:
                                   f"give --B instead")
         elif args.B is None:
             raise ConfigError("landau spectrum needs --omega-c or --B")
-        n_max = _setting(args.n_max, {}, "n_max", "--n-max", "integer")
+        n_max = _setting(args.n_max, {}, "--n-max", "integer")
         # with e = c = M = 1 the field strength equals the cyclotron frequency
         values = landau_spectrum(_magnetic(args, {}, B=args.omega_c), n_max)
 
@@ -670,8 +674,9 @@ class _EvolveRows:
     and orbit-invariant columns from the trajectory and H, which are all that
     is held for the whole run.
 
-    The check and the writer read the same slices in turn; the last slice is
-    kept, so a table of one block is derived once.
+    The check and the writer read the same slices in turn, inside
+    run_evolve's np.errstate; the last slice is kept, so a table of one
+    block is derived once.
     """
 
     def __init__(self, traj: np.ndarray, h: np.ndarray, params, canonical: bool):
@@ -687,39 +692,38 @@ class _EvolveRows:
     def _derive(self, traj: np.ndarray, h: np.ndarray) -> np.ndarray:
         if not self._canonical:
             return np.column_stack((traj, h))
-        with np.errstate(over="ignore", invalid="ignore"):
-            cc = canonical_coords(traj, self._params)
-            xi = np.column_stack(cc.xi)
-            return np.column_stack((traj, xi, cc.X_plus, cc.X_minus, h, orbit_invariant(xi)))
+        cc = canonical_coords(traj, self._params)
+        xi = np.column_stack(cc.xi)
+        return np.column_stack((traj, xi, cc.X_plus, cc.X_minus, h, orbit_invariant(xi)))
 
 
 def run_evolve(args) -> int:
     cfg = _load_config(args.config, args.command) if args.config else {}
-    pcfg = _setting(None, cfg, "params", "params", "object", {})
-    icfg = _setting(None, cfg, "initial", "initial", "object", {})
+    pcfg = _setting(None, cfg, "params", "object", {})
+    icfg = _setting(None, cfg, "initial", "object", {})
     params = DissipativeParams(
-        M=_setting(args.M, pcfg, "M", "params.M", "number"),
-        R=_setting(args.R, pcfg, "R", "params.R", "number"),
-        hbar=_setting(args.hbar, pcfg, "hbar", "params.hbar", "number", 1.0),
+        M=_setting(args.M, pcfg, "params.M", "number"),
+        R=_setting(args.R, pcfg, "params.R", "number"),
+        hbar=_setting(args.hbar, pcfg, "params.hbar", "number", 1.0),
         potential=_potential_from(pcfg.get("potential"), args.potential, args.k, args.coeffs),
     )
     _reads_only(args, f"evolve with a {params.potential.kind} potential", "M", "R", "hbar",
                 "potential", "x_plus", "x_minus", "v_plus", "v_minus", "dt", "steps", "canonical",
                 *{"harmonic": ("k",), "polynomial": ("coeffs",)}.get(params.potential.kind, ()))
     initial = TwoCoordState(
-        x_plus=_setting(args.x_plus, icfg, "x_plus", "initial.x_plus", "number", 0.0),
-        x_minus=_setting(args.x_minus, icfg, "x_minus", "initial.x_minus", "number", 0.0),
-        v_plus=_setting(args.v_plus, icfg, "v_plus", "initial.v_plus", "number", 0.0),
-        v_minus=_setting(args.v_minus, icfg, "v_minus", "initial.v_minus", "number", 0.0),
-        t=_setting(None, icfg, "t", "initial.t", "number", 0.0),
+        x_plus=_setting(args.x_plus, icfg, "initial.x_plus", "number", 0.0),
+        x_minus=_setting(args.x_minus, icfg, "initial.x_minus", "number", 0.0),
+        v_plus=_setting(args.v_plus, icfg, "initial.v_plus", "number", 0.0),
+        v_minus=_setting(args.v_minus, icfg, "initial.v_minus", "number", 0.0),
+        t=_setting(None, icfg, "initial.t", "number", 0.0),
     )
-    dt = _setting(args.dt, cfg, "dt", "dt", "number")
-    steps = _setting(args.steps, cfg, "steps", "steps", "integer")
-    canonical = _setting(args.canonical, cfg, "canonical", "canonical", "boolean", None)
+    dt = _setting(args.dt, cfg, "dt", "number")
+    steps = _setting(args.steps, cfg, "steps", "integer")
+    canonical = _setting(args.canonical, cfg, "canonical", "boolean", None)
     if canonical and params.R == 0:
         raise ConfigError("canonical coordinates require R > 0, but the run has R = 0")
     want_canonical = (params.R > 0) if canonical is None else canonical
-    out = _setting(args.out, cfg, "out", "out", "path", None)
+    out = _setting(args.out, cfg, "out", "path", None)
 
     with warnings.catch_warnings():
         # the library's RuntimeWarning as one stderr line, without a source location
@@ -733,7 +737,7 @@ def run_evolve(args) -> int:
         _require_finite(header, table)
         # encoded before the CSV is written, so a bad summary writes nothing
         summary = _json_line(_evolve_summary(traj, params, h, want_canonical, dt))
-    _emit_csv(header, table, out)
+        _emit_csv(header, table, out)
     _emit(summary, None)
     return EXIT_OK
 
@@ -746,13 +750,12 @@ def _loop_from(args, cfg: dict):
 
 def _scene_from(args, cfg: dict) -> dict | None:
     """The scene's checked fields (null ones left out), or None without a scene."""
-    raw = _input(args.scene, cfg, "scene_json", _load_json, "scene", "object")
+    raw = _input(args.scene, cfg, "scene_json", lambda path: _load_json(path, "scene"),
+                 "scene", "object")
     if raw is None:
         return None
-    if not isinstance(raw, dict):
-        raise ConfigError("scene must be a JSON object")
     _check_keys(raw, _SCENE_KEYS, "scene.")
-    return {key: _setting(None, raw, key, f"scene.{key}", kind)
+    return {key: _setting(None, raw, f"scene.{key}", kind)
             for key, kind in _SCENE_KEYS.items() if raw.get(key) is not None}
 
 
@@ -765,11 +768,11 @@ def _winding_report(scene) -> dict:
 
 def run_phase(args) -> int:
     cfg = _load_config(args.config, args.command) if args.config else {}
-    out = _setting(args.out, cfg, "out", "out", "path", None)
+    out = _setting(args.out, cfg, "out", "path", None)
     scene_data = _scene_from(args, cfg)
     loop = _loop_from(args, cfg)
-    p1 = _setting(args.path1, cfg, "path1_csv", "path1_csv", "path", None)
-    p2 = _setting(args.path2, cfg, "path2_csv", "path2_csv", "path", None)
+    p1 = _setting(args.path1, cfg, "path1_csv", "path", None)
+    p2 = _setting(args.path2, cfg, "path2_csv", "path", None)
 
     modes = sum(x is not None for x in (scene_data, p1, loop))
     if modes == 0:
@@ -787,15 +790,15 @@ def run_phase(args) -> int:
             raise ConfigError("action route needs both --path1 and --path2")
         _reads_only(args, "phase --path1/--path2", "path1", "path2", "hbar")
         # the top-level hbar: read on this route and the plain loop route only
-        hbar = _setting(args.hbar, cfg, "hbar", "hbar", "number", 1.0)
+        hbar = _setting(args.hbar, cfg, "hbar", "number", 1.0)
         path1 = _read_path_csv(p1)
         path2 = _read_path_csv(p2)
         phase = interference_phase_action(path1, path2, hbar)
         _emit_json({"phase_action": phase}, out)
         return EXIT_OK
 
-    mcfg = _setting(None, cfg, "magnetic", "magnetic", "object", None)
-    if _setting(args.ab, cfg, "ab", "ab", "boolean", False) or mcfg:
+    mcfg = _setting(None, cfg, "magnetic", "object", None)
+    if _setting(args.ab, cfg, "ab", "boolean", False) or mcfg:
         _reads_only(args, "phase --loop with --ab or a \"magnetic\" object", "loop", "ab",
                     *_FIELD_FLAGS)
         mp = _magnetic(args, mcfg or {})
@@ -807,8 +810,8 @@ def run_phase(args) -> int:
         return EXIT_OK
 
     _reads_only(args, "phase --loop without --ab or a \"magnetic\" object", "loop", "L", "hbar")
-    hbar = _setting(args.hbar, cfg, "hbar", "hbar", "number", 1.0)
-    params = NcParams(L=_setting(args.L, cfg, "L", "L", "number"), hbar=hbar)
+    hbar = _setting(args.hbar, cfg, "hbar", "number", 1.0)
+    params = NcParams(L=_setting(args.L, cfg, "L", "number"), hbar=hbar)
     phase_area = interference_phase_area(loop, params)
     phase_action = loop_action_phase(loop, params)
     _emit_json({"phase_area": phase_area, "phase_action": phase_action,
@@ -823,7 +826,7 @@ def _complex_table(mat: np.ndarray) -> list:
 
 
 def run_algebra(args) -> int:
-    dim = _setting(args.dim, {}, "dim", "--dim", "integer")
+    dim = _setting(args.dim, {}, "--dim", "integer")
     if args.kind == "magnetic":
         _reads_only(args, "algebra --kind magnetic", "dim", *_FIELD_FLAGS)
         params = _magnetic(args, {}, B=1.0)
@@ -832,9 +835,9 @@ def run_algebra(args) -> int:
         _reads_only(args, "algebra --kind dissipative", "dim", "R", "mass", "hbar")
         if args.R is None or args.R <= 0:
             raise ConfigError("dissipative algebra needs --R > 0")
-        params = DissipativeParams(M=_setting(args.mass, {}, "M", "--mass", "number", 1.0),
+        params = DissipativeParams(M=_setting(args.mass, {}, "--mass", "number", 1.0),
                                    R=args.R,
-                                   hbar=_setting(args.hbar, {}, "hbar", "--hbar", "number", 1.0))
+                                   hbar=_setting(args.hbar, {}, "--hbar", "number", 1.0))
         report = kappa_commutator_check(params, dim)
     _emit_json(
         {
@@ -855,26 +858,26 @@ def run_algebra(args) -> int:
 
 def run_vortex(args) -> int:
     cfg = _load_config(args.config, args.command) if args.config else {}
-    out = _setting(args.out, cfg, "out", "out", "path", None)
+    out = _setting(args.out, cfg, "out", "path", None)
     fields = _scene_from(args, cfg)
     if fields is None:
         raise ConfigError("vortex needs --scene FILE or a config with \"scene\"/\"scene_json\"")
 
-    scatter = _setting(None, cfg, "scatter", "scatter", "object", None)
+    scatter = _setting(None, cfg, "scatter", "object", None)
     if scatter is not None:
         if len(fields.get("atoms", ())):
             raise ConfigError("scatter and explicit scene atoms are mutually exclusive")
-        density = _setting(None, scatter, "density", "scatter.density", "number",
-                           fields.get("density"))
+        density = _setting(None, scatter, "scatter.density", "number", fields.get("density"))
         if density is None:
             raise ConfigError("scatter needs a density (in scatter or scene)")
-        seed = _setting(None, scatter, "seed", "scatter.seed", "integer")
-        region = _setting(None, scatter, "region", "scatter.region", "numbers")
+        seed = _setting(None, scatter, "scatter.seed", "integer")
+        region = _setting(None, scatter, "scatter.region", "numbers")
         if len(region) != 4:
-            raise ConfigError(f"scatter needs \"region\": [x0, y0, x1, y1], got {region}")
+            raise ConfigError(
+                f"scatter needs \"region\": [x0, y0, x1, y1], got {scatter['region']!r}")
         x0, y0, x1, y1 = region
         if not (x1 > x0 and y1 > y0):
-            raise ConfigError(f"degenerate scatter region {region}")
+            raise ConfigError(f"degenerate scatter region {scatter['region']!r}")
         area = (x1 - x0) * (y1 - y0)
         count = int(round(density * area))
         rng = np.random.default_rng(seed)
@@ -886,7 +889,7 @@ def run_vortex(args) -> int:
     report["atoms"] = int(scene.atoms.shape[0])
     if scene.density is not None:
         report["length_scale"] = film_length_scale(scene.density)
-    core = _setting(args.core, cfg, "core", "core", "pair", None)
+    core = _setting(args.core, cfg, "core", "pair", None)
     if core is not None:
         core_winding = winding_number(core, scene.core_loop)
         report["core_winding"] = core_winding
@@ -911,7 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
     # _magnetic and _setting supply them
     field = argparse.ArgumentParser(add_help=False)
     for flag in _FIELD_FLAGS:
-        field.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=float,
+        field.add_argument(f"--{flag.replace('_', '-')}", type=float,
                            help="field strength" if flag == "B" else None)
     field.add_argument("--out", help="output file (default: stdout)")
 
@@ -919,9 +922,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=("distance", "landau"), required=True)
     sp.add_argument("--L", type=float, help="length scale (distance spectrum)")
     sp.add_argument("--dim", type=int, help="truncation dimension (distance spectrum)")
-    sp.add_argument("--omega-c", dest="omega_c", type=float,
+    sp.add_argument("--omega-c", type=float,
                     help="cyclotron frequency (alternative to --B; sets e = c = M = 1)")
-    sp.add_argument("--n-max", dest="n_max", type=int, help="highest level index")
+    sp.add_argument("--n-max", type=int, help="highest level index")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(func=run_spectrum)
 
@@ -933,10 +936,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--potential", choices=("free", "harmonic", "polynomial"))
     ev.add_argument("--k", type=float, help="harmonic stiffness")
     ev.add_argument("--coeffs", type=_floats, help="polynomial coefficients c0,c1,...")
-    ev.add_argument("--x-plus", dest="x_plus", type=float)
-    ev.add_argument("--x-minus", dest="x_minus", type=float)
-    ev.add_argument("--v-plus", dest="v_plus", type=float)
-    ev.add_argument("--v-minus", dest="v_minus", type=float)
+    ev.add_argument("--x-plus", type=float)
+    ev.add_argument("--x-minus", type=float)
+    ev.add_argument("--v-plus", type=float)
+    ev.add_argument("--v-minus", type=float)
     ev.add_argument("--dt", type=float)
     ev.add_argument("--steps", type=int)
     ev.add_argument(
@@ -980,17 +983,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code in (None, 0):
-            return EXIT_OK
-        return code if isinstance(code, int) else EXIT_CONFIG
+    except SystemExit as exc:  # argparse exits 0 for --help, 2 for a usage error
+        return exc.code or EXIT_OK
     try:
         return args.func(args)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -31,9 +31,9 @@ integrate_array, the integrator, fills it from one scalar RK4 loop, and
 hamiltonian_value, canonical_momenta and canonical_coords take such an
 array as well as a single TwoCoordState, returning one column per quantity
 with the same bits the per-state call gives.  The list view,
-integrate_trajectory (integrate_array's rows as TwoCoordState objects),
-trajectory_to_array and eom_rhs, is kept only because the benchmark's
-tracer looks these names up.
+integrate_trajectory (integrate_array's rows as TwoCoordState objects)
+and trajectory_to_array, is module-only, not exported from ncplane: it is
+kept because the benchmark's tracer looks these names up.
 
 The quantized inverted oscillator behind the boost transmits wavepackets
 with probability P(omega) = 1 / (1 + exp(-2 pi omega / G)), and energy
@@ -63,8 +63,6 @@ __all__ = [
     "DivergenceError",
     "eom_rhs",
     "integrate_array",
-    "integrate_trajectory",
-    "trajectory_to_array",
     "hamiltonian_value",
     "canonical_momenta",
     "canonical_coords",
@@ -189,10 +187,6 @@ class DissipativeParams:
         if self.R == 0:
             raise ValueError("no dissipation: the length scale hbar / R requires R > 0")
         return self.hbar / self.R
-
-    @property
-    def length_scale(self) -> float:
-        return math.sqrt(self.L2)
 
 
 @dataclass(frozen=True)

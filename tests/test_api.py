@@ -31,3 +31,12 @@ def test_every_root_name_is_the_module_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(ncplane, name) is getattr(module, name), name
+
+
+def test_the_list_view_is_module_only():
+    import ncplane.cli
+
+    for name in ("integrate_trajectory", "trajectory_to_array"):
+        assert name not in ncplane.__all__ and not hasattr(ncplane, name), name
+        assert callable(getattr(dissipative_dynamics, name)), name
+    assert ncplane.cli.integrate_trajectory is dissipative_dynamics.integrate_trajectory

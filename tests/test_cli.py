@@ -363,6 +363,59 @@ def test_unknown_scene_file_keys_are_errors(tmp_path, capsys, argv):
     assert 'unknown setting "scene.sigmaa"; the nearest known key is "scene.sigma"' in err
 
 
+_SCATTER_CFG = {"schema_version": 1, "scene": {"core_loop": _SQUARE, "sigma": 1}}
+
+
+# (argv, files to write (a str as text, else as JSON), the last line of stderr);
+# "@name" in argv is the path of the file name, "{dir}" in the line their folder
+@pytest.mark.parametrize("argv, files, line", [
+    (["evolve", "--config", "@cfg"], {"cfg": [_EVOLVE_CFG]},
+     "error: config {dir}/cfg must be a JSON object"),
+    (["evolve", "--M", "1", "--R", "0.1", "--potential", "polynomial", "--coeffs", "1,x"], {},
+     "ncplane evolve: error: argument --coeffs: expected numbers separated by commas, "
+     "got '1,x'"),
+    (["evolve", "--config", "@cfg"],
+     {"cfg": {**_EVOLVE_CFG, "schema_version": 1,
+              "params": {"M": 1.0, "R": 0.4, "potential": "harmonic"}}},
+     "error: potential must be an object with a \"kind\" key, got 'harmonic'"),
+    (["evolve", "--config", "@cfg"],
+     {"cfg": {**_EVOLVE_CFG, "schema_version": 1,
+              "params": {"M": 1.0, "R": 0.4, "potential": {"kind": "cubic"}}}},
+     "error: unknown potential kind 'cubic' (free, harmonic, polynomial)"),
+    (["spectrum", "--kind", "landau", "--omega-c", "1", "--B", "1", "--n-max", "2"], {},
+     "error: give either --omega-c or --B, not both"),
+    (["vortex", "--scene", "@scene"], {"scene": [_SQUARE]},
+     "error: scene {dir}/scene must be a JSON object"),
+    (["phase", "--path1", "@a.csv"], {"a.csv": "0,0\n1,1\n"},
+     "error: action route needs both --path1 and --path2"),
+    (["vortex"], {}, "error: vortex needs --scene FILE or a config with \"scene\"/\"scene_json\""),
+    (["vortex", "--config", "@cfg"],
+     {"cfg": {**_SCATTER_CFG, "scene": {"core_loop": _SQUARE, "sigma": 1, "atoms": [[0, 0]]},
+              "scatter": {"density": 1.0, "seed": 1, "region": [0, 0, 1, 1]}}},
+     "error: scatter and explicit scene atoms are mutually exclusive"),
+    (["vortex", "--config", "@cfg"],
+     {"cfg": {**_SCATTER_CFG, "scatter": {"seed": 1, "region": [0, 0, 1, 1]}}},
+     "error: scatter needs a density (in scatter or scene)"),
+    (["vortex", "--config", "@cfg"],
+     {"cfg": {**_SCATTER_CFG, "scatter": {"density": 1.0, "seed": 1, "region": [0, 0, 1]}}},
+     "error: scatter needs \"region\": [x0, y0, x1, y1], got [0, 0, 1]"),
+    (["vortex", "--config", "@cfg"],
+     {"cfg": {**_SCATTER_CFG, "scatter": {"density": 1.0, "seed": 1, "region": [1, 0, 0, 1]}}},
+     "error: degenerate scatter region [1, 0, 0, 1]"),
+], ids=["config-not-object", "coeffs-not-numbers", "potential-string", "potential-kind",
+        "omega-c-and-B", "scene-not-object", "path1-alone", "vortex-no-scene",
+        "scatter-and-atoms", "scatter-no-density", "region-3-numbers", "region-degenerate"])
+def test_error_exits_print_one_named_line(tmp_path, capsys, argv, files, line):
+    for name, content in files.items():
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    out_file = tmp_path / "out"
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    code, out, err = run_cli(argv + ["--out", str(out_file)], capsys)
+    assert code == 2
+    assert out == "" and not out_file.exists()
+    assert err.splitlines()[-1] == line.replace("{dir}", str(tmp_path))
+
+
 def test_missing_config_is_io_error(tmp_path, capsys):
     code, _, err = run_cli(["evolve", "--config", str(tmp_path / "nope.json")], capsys)
     assert code == 3

@@ -788,3 +788,26 @@ def test_boost_conserves_the_minkowski_form(xi, gamma, t):
     size = max(float(np.abs(out).max()), max(abs(v) for v in xi)) ** 2
     tol = 16 * np.finfo(float).eps * size + 2 * np.finfo(float).smallest_subnormal
     assert abs(orbit_invariant(out) - orbit_invariant(xi)) <= tol
+
+
+_RHO = np.diag([0.5, 0.5])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: Potential.polynomial([]), "at least one coefficient"),
+    (lambda: Potential.polynomial([1.0, math.nan]), "coefficients must be finite"),
+    (lambda: DissipativeParams(M=1.0, R=0.1, hbar=0.0), "hbar must be positive"),
+    (lambda: hyperbolic_evolve([1.0, 2.0, 3.0], 0.1, 1.0), "trailing axis of size 2"),
+    (lambda: hyperbolic_evolve([1.0, 2.0], -0.1, 1.0), "gamma must be >= 0"),
+    (lambda: orbit_invariant([1.0, 2.0, 3.0]), "trailing axis of size 2"),
+    (lambda: validate_density_matrix(np.ones((1, 2))), "must be square"),
+    (lambda: evolve_density([0.0, 1.0, 2.0], _RHO, 1.0), "energies must be a 1-d array"),
+    (lambda: evolve_density([0.0, 1.0], _RHO, 1.0, hbar=0.0), "hbar must be positive"),
+    (lambda: bohr_frequencies(64, 0.1), r"rhos must be a \(samples, d, d\) stack, got int"),
+    (lambda: bohr_frequencies([_RHO] * 64, 0.0), "dt must be positive"),
+], ids=["poly-empty", "poly-nan", "hbar-zero", "boost-xi-shape", "boost-gamma",
+        "invariant-xi-shape", "rho-not-square", "energies-shape", "density-hbar",
+        "rhos-not-a-stack", "bohr-dt"])
+def test_input_checks_raise_value_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

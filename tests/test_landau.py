@@ -119,3 +119,9 @@ def test_every_flux_step_is_one_flux_quantum(B, e, c, hbar):
     params = MagneticParams(B=B, e=e, c=c, hbar=hbar)
     steps = np.array([step for _, step in flux_quantization(params, 200)])
     assert np.abs(steps / params.flux_quantum - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_max", [-1, 2.0])
+def test_landau_spectrum_needs_a_nonnegative_integer(n_max):
+    with pytest.raises(ValueError, match="n_max must be a nonnegative integer"):
+        landau_spectrum(MagneticParams(B=1.0), n_max)

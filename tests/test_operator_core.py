@@ -175,3 +175,13 @@ def test_factor_table_matches_tensor_space_brackets(family, dim):
             elif i != j:
                 assert c[0, 0] == pytest.approx(report.leading[i, j], **tol)
                 assert c[-1, -1] == pytest.approx(report.artifact[i, j], **tol)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: require_dim(4.0), "dim must be an integer, got float"),
+    (lambda: commutator(np.ones(3), np.eye(3)), "first operand is not square"),
+    (lambda: commutator(np.eye(2), np.ones((2, 3))), "second operand is not square"),
+], ids=["dim-float", "first-not-square", "second-not-square"])
+def test_input_checks_raise_value_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -163,3 +163,14 @@ def test_area_phase_equals_action_phase(grid, shift, scale, L, hbar, data):
     products = np.abs(x * np.roll(y, -1)).sum() + np.abs(np.roll(x, -1) * y).sum()
     gap = interference_phase_area(loop, params) - loop_action_phase(loop, params, split=split)
     assert abs(gap) <= 1e-12 * products / params.L2
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: signed_area([[0.0, 0.0], [1.0, np.nan], [1.0, 1.0]]),
+     "loop contains non-finite vertices"),
+    (lambda: interference_phase_action(UNIT_SQUARE, UNIT_SQUARE, hbar=0.0),
+     "hbar must be positive"),
+], ids=["nonfinite-vertex", "hbar-zero"])
+def test_input_checks_raise_value_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -248,3 +248,20 @@ def test_winding_phase_matches_count_phase():
     scene = scene_from_dict({"core_loop": SQUARE[::-1].tolist(), "atoms": atoms, "sigma": -1})
     assert np.count_nonzero(points_in_polygon(scene.atoms, scene.core_loop)) == 3
     assert winding_phase(scene) == count_phase(-1, 3) == -6 * np.pi
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: VortexScene(core_loop=SQUARE, atoms=[[np.inf, 0.0]], sigma=1),
+     "atoms contain non-finite coordinates"),
+    (lambda: scene_from_dict([SQUARE.tolist()]), "scene must be a mapping, got list"),
+    (lambda: winding_numbers(np.ones((2, 3)), SQUARE), r"points must be an \(N, 2\) array"),
+    (lambda: circulation_integral([1.0, 1.0], SQUARE, 2), r"sigma must be \+1 or -1"),
+], ids=["atom-inf", "scene-list", "points-shape", "circulation-sigma"])
+def test_input_checks_raise_value_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_a_single_point_as_a_1d_array_gets_one_count():
+    counts = winding_numbers(np.array([1.0, 1.0]), SQUARE)
+    assert counts.shape == (1,) and counts[0] == 1
