@@ -870,6 +870,9 @@ def run_vortex(args) -> int:
         density = _setting(None, scatter, "scatter.density", "number", fields.get("density"))
         if density is None:
             raise ConfigError("scatter needs a density (in scatter or scene)")
+        if not (density > 0 and math.isfinite(density)):
+            raise ConfigError(
+                f"setting \"scatter.density\" must be a positive finite number, got {density}")
         seed = _setting(None, scatter, "scatter.seed", "integer")
         region = _setting(None, scatter, "scatter.region", "numbers")
         if len(region) != 4:
@@ -891,6 +894,8 @@ def run_vortex(args) -> int:
         report["length_scale"] = film_length_scale(scene.density)
     core = _setting(args.core, cfg, "core", "pair", None)
     if core is not None:
+        if not np.all(np.isfinite(core)):
+            raise ConfigError(f"setting \"core\" must be finite, got {core.tolist()}")
         core_winding = winding_number(core, scene.core_loop)
         report["core_winding"] = core_winding
         report["circulation"] = circulation_integral(core, scene.core_loop, scene.sigma)

@@ -42,8 +42,9 @@ __all__ = [
 # tie-break
 EDGE_TOL = 1e-12
 
-# (edge, point) pairs tested per chunk in winding_numbers; bounds its memory
-_PAIR_CHUNK = 1 << 18
+# points sorted, and (edge, point) pairs tested, per chunk in winding_numbers;
+# bounds its memory
+_PAIR_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +102,11 @@ def winding_numbers(points, polygon) -> np.ndarray:
     the squared edge length) counts as on that edge and adds nothing, so
     scaling the whole scene by a power of two leaves every count unchanged.
 
-    The points are sorted by y once, each edge's slab is located with a
-    binary search, and the side test runs only on (edge, point) pairs inside
-    a slab, in bounded chunks: O(N log N + E log N + slab pairs) time for N
-    points and E edges, and O(N + E) memory beyond a fixed chunk.
+    The points are swept _PAIR_CHUNK at a time.  Each chunk is sorted by y,
+    each edge's slab in it is located with a binary search, and the side
+    test runs only on (edge, point) pairs inside a slab, _PAIR_CHUNK pairs
+    at a time: O(N log C + E ceil(N/C) log C + slab pairs) time for N points,
+    E edges and chunk size C, and O(E + C) memory beyond the result.
     """
     poly = as_path(polygon, min_vertices=3, name="polygon")
     pts = np.asarray(points, dtype=float)
@@ -114,8 +116,6 @@ def winding_numbers(points, polygon) -> np.ndarray:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must be an (N, 2) array, got shape {pts.shape}")
-    order = np.argsort(pts[:, 1], kind="stable")
-    px, py = pts[order, 0], pts[order, 1]
 
     x1, y1 = poly[:, 0], poly[:, 1]
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
@@ -123,29 +123,43 @@ def winding_numbers(points, polygon) -> np.ndarray:
     up = y2 > y1
     sign = np.where(up, 1.0, -1.0)
     tol = EDGE_TOL * (dx * dx + dy * dy)
-    # slab of edge e: sorted points first[e] .. first[e] + size[e] - 1
-    first = np.searchsorted(py, np.where(up, y1, y2), side="left")
-    size = np.searchsorted(py, np.where(up, y2, y1), side="left") - first
-    ends = np.cumsum(size)
-    starts = ends - size
+    y_lo, y_hi = np.where(up, y1, y2), np.where(up, y2, y1)
 
-    wn = np.zeros(py.shape[0])
-    for lo in range(0, int(ends[-1]), _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, int(ends[-1]))
-        # edges with pairs in [lo, hi), and how many of their pairs fall there
-        e0 = int(np.searchsorted(ends, lo, side="right"))
-        e1 = int(np.searchsorted(starts, hi, side="left"))
-        span = np.minimum(ends[e0:e1], hi) - np.maximum(starts[e0:e1], lo)
-        e = np.repeat(np.arange(e0, e1), span)
-        j = first[e] + (np.arange(lo, hi) - starts[e])
-        # side > 0: point lies left of the directed edge
-        side = dx[e] * (py[j] - y1[e]) - (px[j] - x1[e]) * dy[e]
-        s = sign[e]
-        hit = np.where(s * side > tol[e], s, 0.0)
-        j0 = int(j.min())
-        wn[j0:int(j.max()) + 1] += np.bincount(j - j0, weights=hit)
-    out = np.empty(py.shape[0], dtype=int)
-    out[order] = wn
+    out = np.empty(pts.shape[0], dtype=int)
+    for c0 in range(0, pts.shape[0], _PAIR_CHUNK):
+        chunk = pts[c0:c0 + _PAIR_CHUNK]
+        bad = np.flatnonzero(~np.isfinite(chunk).all(axis=1))
+        if bad.size:
+            row = c0 + int(bad[0])
+            raise ValueError(f"points contain a non-finite coordinate in row {row}: "
+                             f"{pts[row].tolist()}")
+        # Any sort order gives exact counts: points with equal y are contiguous
+        # in every y order, so each slab holds the same points, and each count
+        # is a sum of +-1.0 over the same (edge, point) pairs, exact in floats.
+        order = np.argsort(chunk[:, 1])
+        px, py = chunk[order, 0], chunk[order, 1]
+        # slab of edge e: sorted points first[e] .. first[e] + size[e] - 1
+        first = np.searchsorted(py, y_lo, side="left")
+        size = np.searchsorted(py, y_hi, side="left") - first
+        ends = np.cumsum(size)
+        starts = ends - size
+
+        wn = np.zeros(py.shape[0])
+        for lo in range(0, int(ends[-1]), _PAIR_CHUNK):
+            hi = min(lo + _PAIR_CHUNK, int(ends[-1]))
+            # edges with pairs in [lo, hi), and how many of their pairs fall there
+            e0 = int(np.searchsorted(ends, lo, side="right"))
+            e1 = int(np.searchsorted(starts, hi, side="left"))
+            span = np.minimum(ends[e0:e1], hi) - np.maximum(starts[e0:e1], lo)
+            e = np.repeat(np.arange(e0, e1), span)
+            j = first[e] + (np.arange(lo, hi) - starts[e])
+            # side > 0: point lies left of the directed edge
+            side = dx[e] * (py[j] - y1[e]) - (px[j] - x1[e]) * dy[e]
+            s = sign[e]
+            hit = np.where(s * side > tol[e], s, 0.0)
+            j0 = int(j.min())
+            wn[j0:int(j.max()) + 1] += np.bincount(j - j0, weights=hit)
+        out[c0:c0 + _PAIR_CHUNK][order] = wn
     return out
 
 
@@ -192,6 +206,8 @@ def circulation_integral(core, loop, sigma: int = 1) -> float:
     if sigma not in (1, -1):
         raise ValueError(f"sigma must be +1 or -1, got {sigma}")
     c = np.asarray(core, dtype=float).reshape(2)
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"core must be finite, got {c.tolist()}")
     poly = as_path(loop, min_vertices=3, name="loop")
     rel = poly - c
     dist = np.hypot(rel[:, 0], rel[:, 1])

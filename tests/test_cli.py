@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface and its exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -402,9 +403,30 @@ _SCATTER_CFG = {"schema_version": 1, "scene": {"core_loop": _SQUARE, "sigma": 1}
     (["vortex", "--config", "@cfg"],
      {"cfg": {**_SCATTER_CFG, "scatter": {"density": 1.0, "seed": 1, "region": [1, 0, 0, 1]}}},
      "error: degenerate scatter region [1, 0, 0, 1]"),
+    (["vortex", "--config", "@cfg"],
+     {"cfg": {**_SCATTER_CFG, "scatter": {"density": math.inf, "seed": 1, "region": [0, 0, 1, 1]}}},
+     "error: setting \"scatter.density\" must be a positive finite number, got inf"),
+    (["vortex", "--config", "@cfg"],
+     {"cfg": {**_SCATTER_CFG, "scatter": {"density": math.nan, "seed": 1, "region": [0, 0, 1, 1]}}},
+     "error: setting \"scatter.density\" must be a positive finite number, got nan"),
+    (["vortex", "--config", "@cfg"],
+     {"cfg": {**_SCATTER_CFG, "scatter": {"density": -5, "seed": 1, "region": [0, 0, 1, 1]}}},
+     "error: setting \"scatter.density\" must be a positive finite number, got -5.0"),
+    (["vortex", "--config", "@cfg", "--core=inf,0"],
+     {"cfg": {**_SCATTER_CFG, "scene": {"core_loop": _SQUARE, "sigma": 1, "atoms": []}}},
+     "error: setting \"core\" must be finite, got [inf, 0.0]"),
+    (["vortex", "--config", "@cfg", "--core=nan,0"],
+     {"cfg": {**_SCATTER_CFG, "scene": {"core_loop": _SQUARE, "sigma": 1, "atoms": []}}},
+     "error: setting \"core\" must be finite, got [nan, 0.0]"),
+    (["vortex", "--config", "@cfg"],
+     {"cfg": {**_SCATTER_CFG, "scene": {"core_loop": _SQUARE, "sigma": 1, "atoms": []},
+              "core": [math.inf, 0]}},
+     "error: setting \"core\" must be finite, got [inf, 0.0]"),
 ], ids=["config-not-object", "coeffs-not-numbers", "potential-string", "potential-kind",
         "omega-c-and-B", "scene-not-object", "path1-alone", "vortex-no-scene",
-        "scatter-and-atoms", "scatter-no-density", "region-3-numbers", "region-degenerate"])
+        "scatter-and-atoms", "scatter-no-density", "region-3-numbers", "region-degenerate",
+        "scatter-density-inf", "scatter-density-nan", "scatter-density-negative",
+        "core-flag-inf", "core-flag-nan", "core-config-inf"])
 def test_error_exits_print_one_named_line(tmp_path, capsys, argv, files, line):
     for name, content in files.items():
         (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))

@@ -5,6 +5,8 @@ per-edge oracle, and the winding number's invariances are checked as
 properties over integer-grid inputs, where every side test is exact.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,6 +245,38 @@ def test_sweep_chunk_boundaries_split_edges(monkeypatch, chunk):
                                   per_edge_winding(points, polygon))
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, vortex_film._PAIR_CHUNK])
+@settings(deadline=None, max_examples=5)
+@given(grid_polygons, st.integers(0, 2 ** 32 - 1))
+def test_chunked_sweep_matches_per_edge_oracle(chunk, polygon, seed):
+    # 3000 grid points: many share a y value, many lie on edges, and a chunk
+    # of a few points splits both the point sweep and a slab's pairs
+    points = np.random.default_rng(seed).integers(-18, 19, (3000, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vortex_film, "_PAIR_CHUNK", chunk)
+        counts = winding_numbers(points, polygon)
+    np.testing.assert_array_equal(counts, per_edge_winding(points, polygon))
+
+
+def test_the_sweep_holds_one_chunk_beyond_its_result():
+    # traced after the input is built: the 8 B/point result plus one 2^14-point
+    # chunk's sort, slab and pair buffers (about 100 B per chunk point), not
+    # point-sized copies of the sorted input
+    rng = np.random.default_rng(11)
+    polygon = star_loop(rng, 200)
+    n = 200_000
+    points = rng.uniform(-2.0, 2.0, (n, 2))
+    tracemalloc.start()
+    try:
+        counts = winding_numbers(points, polygon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (n,) and np.count_nonzero(counts) > n // 10
+    budget = 8 * n + 160 * 2 ** 14
+    assert peak <= budget, f"{peak} B traced, budget {budget} B"
+
+
 def test_winding_phase_matches_count_phase():
     atoms = [[0.5, 0.5], [1.5, 1.5], [1.0, 0.3], [3.0, 3.0]]
     scene = scene_from_dict({"core_loop": SQUARE[::-1].tolist(), "atoms": atoms, "sigma": -1})
@@ -256,7 +290,12 @@ def test_winding_phase_matches_count_phase():
     (lambda: scene_from_dict([SQUARE.tolist()]), "scene must be a mapping, got list"),
     (lambda: winding_numbers(np.ones((2, 3)), SQUARE), r"points must be an \(N, 2\) array"),
     (lambda: circulation_integral([1.0, 1.0], SQUARE, 2), r"sigma must be \+1 or -1"),
-], ids=["atom-inf", "scene-list", "points-shape", "circulation-sigma"])
+    (lambda: winding_numbers([[0.5, 0.5], [1.0, np.nan], [np.inf, 0.0]], SQUARE),
+     r"^points contain a non-finite coordinate in row 1: \[1\.0, nan\]$"),
+    (lambda: circulation_integral([np.inf, 0.0], SQUARE),
+     r"^core must be finite, got \[inf, 0\.0\]$"),
+], ids=["atom-inf", "scene-list", "points-shape", "circulation-sigma", "points-nan",
+        "circulation-core-inf"])
 def test_input_checks_raise_value_errors(call, match):
     with pytest.raises(ValueError, match=match):
         call()
