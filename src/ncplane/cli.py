@@ -40,6 +40,7 @@ import json
 # it with the module keeps that one-time cost (~1.4 ms) out of the first command
 import locale  # noqa: F401
 import math
+import os
 import sys
 import warnings
 
@@ -856,6 +857,14 @@ def run_algebra(args) -> int:
 
 # ------------------------------------------------------------------- vortex
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where os.sysconf cannot tell."""
+    try:
+        return float(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 def run_vortex(args) -> int:
     cfg = _load_config(args.config, args.command) if args.config else {}
     out = _setting(args.out, cfg, "out", "path", None)
@@ -878,10 +887,18 @@ def run_vortex(args) -> int:
         if len(region) != 4:
             raise ConfigError(
                 f"scatter needs \"region\": [x0, y0, x1, y1], got {scatter['region']!r}")
-        x0, y0, x1, y1 = region
+        # Python floats: an overflowing area is inf, with no numpy warning
+        x0, y0, x1, y1 = region.tolist()
         if not (x1 > x0 and y1 > y0):
             raise ConfigError(f"degenerate scatter region {scatter['region']!r}")
         area = (x1 - x0) * (y1 - y0)
+        need = 16.0 * density * area  # bytes of the (count, 2) float atom array
+        memory = _physical_memory()
+        if not need <= memory:
+            raise ConfigError(
+                f"setting \"scatter.density\" = {density:g} on a region of area {area:g} "
+                f"needs {need:.3g} bytes of atoms, more than the {memory:.3g} bytes "
+                f"of physical memory")
         count = int(round(density * area))
         rng = np.random.default_rng(seed)
         fields["atoms"] = rng.uniform((x0, y0), (x1, y1), size=(count, 2))

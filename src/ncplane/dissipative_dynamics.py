@@ -605,6 +605,8 @@ def evolve_density(energies, rho0, t: float, hbar: float = 1.0) -> np.ndarray:
 
 # complex values per FFT block in bohr_frequencies (2 MB)
 _FFT_BLOCK = 1 << 17
+# FFT blocks per group of entries gathered at once in bohr_frequencies (16 MB)
+_GROUP_BLOCKS = 8
 
 
 def _stack_sample(rhos, k: int, d: int | None = None) -> np.ndarray:
@@ -636,11 +638,14 @@ def bohr_frequencies(rhos, dt: float) -> np.ndarray:
     off-diagonal content returns an empty array.
 
     The samples are taken to be Hermitian: only their strict upper
-    triangles are read, gathered one sample at a time into one
-    (samples, d(d-1)/2) array, and entry (j, i) adds the power of (i, j)
-    at the mirrored bin, P_ji(k) = P_ij(-k).  The FFTs run on blocks of
-    columns, so memory stays near that array's size, and the input is not
-    modified.
+    triangles are read, and entry (j, i) adds the power of (i, j) at the
+    mirrored bin, P_ji(k) = P_ij(-k).  The entries are gathered in groups,
+    sample by sample into one (samples, g) buffer, where g is the number of
+    entries in _GROUP_BLOCKS FFT blocks (256 at 4096 samples).  So beyond
+    the input the call holds that 16 MB buffer (8 x samples complex values
+    when samples exceeds 2^17) and one 2 MB FFT block, whatever d is.
+    Nested-list samples are converted again for each group.  The input is
+    not modified.
 
     Needs at least 64 samples, and the record should span at least two
     periods of the slowest transition (unverifiable here; shorter records
@@ -661,24 +666,36 @@ def bohr_frequencies(rhos, dt: float) -> np.ndarray:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     d = _stack_sample(rhos, 0).shape[0]
     upper = _strict_upper(d)[2]
-    entries = np.empty((n, upper.size), dtype=complex)
-    for k in range(n):
-        _stack_sample(rhos, k, d).take(upper, out=entries[k])
-    # the lower triangle holds as much power as the upper one
-    raw_power = 2.0 * float(np.vdot(entries, entries).real)
-    mean = entries.mean(axis=0)
     window = np.hanning(n)
     cols = max(1, _FFT_BLOCK // n)
+    # groups of whole FFT blocks keep each bin's summation order
+    size = min(_GROUP_BLOCKS * cols, upper.size)
+    store = np.empty(n * size, dtype=complex)
     block = np.empty((min(cols, upper.size), n), dtype=complex)
     squares = np.zeros(2 * n)
-    for a in range(0, upper.size, cols):
-        x = block[: min(cols, upper.size - a)]
-        np.subtract(entries[:, a : a + cols].T, mean[a : a + cols, None], out=x)
-        x *= window
-        # re^2 and im^2 of each bin side by side, summed over the block's entries
-        spectrum = np.fft.fft(x).view(float)
-        spectrum *= spectrum
-        squares += spectrum.sum(axis=0)
+    raw_power = 0.0
+    for g in range(0, upper.size, size):
+        entries = upper[g : g + size]
+        # a short last group is a narrower array in the same store; numpy
+        # sums the mean of a one-column array in another order, so a lone
+        # entry gets a zero column beside it
+        width = max(entries.size, min(2, size))
+        group = store[: n * width].reshape(n, width)
+        group[:, entries.size :] = 0.0
+        for k in range(n):
+            _stack_sample(rhos, k, d).take(entries, out=group[k, : entries.size], mode="clip")
+        # the lower triangle holds as much power as the upper one
+        raw_power += 2.0 * float(np.vdot(group, group).real)
+        mean = group.mean(axis=0)
+        for a in range(0, entries.size, cols):
+            b = min(cols, entries.size - a)
+            x = block[:b]
+            np.subtract(group[:, a : a + b].T, mean[a : a + b, None], out=x)
+            x *= window
+            # re^2 and im^2 of each bin side by side, summed over the block's entries
+            spectrum = np.fft.fft(x).view(float)
+            spectrum *= spectrum
+            squares += spectrum.sum(axis=0)
     upper_power = squares[0::2] + squares[1::2]
     # add the lower entries, P_ji(k) = P_ij(-k); index -k is bin n - k
     power = upper_power + upper_power[-np.arange(n)]

@@ -35,6 +35,8 @@ __all__ = [
     "loop_action_phase",
 ]
 
+# endpoint agreement interference_phase_action asks for, relative to the
+# paths' q extent
 ENDPOINT_TOL = 1e-9
 
 
@@ -81,19 +83,21 @@ def interference_phase_action(path1, path2, hbar: float = 1.0) -> float:
     """Phase by which branch 1 leads branch 2: (S1 - S2) / hbar.
 
     The branches must share initial and final configuration points (the q
-    coordinates) within 1e-9; the connecting jumps in p then contribute
-    nothing to the closed-loop action, so the difference equals the loop
-    integral of p dq over branch-1-forward, branch-2-backward.
+    coordinates) within ENDPOINT_TOL = 1e-9 times the q extent of both
+    paths together; the connecting jumps in p then contribute nothing to
+    the closed-loop action, so the difference equals the loop integral of
+    p dq over branch-1-forward, branch-2-backward.
     """
     a = as_path(path1, min_vertices=2, name="path1")
     b = as_path(path2, min_vertices=2, name="path2")
     if not (hbar > 0 and np.isfinite(hbar)):
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
+    extent = max(a[:, 0].max(), b[:, 0].max()) - min(a[:, 0].min(), b[:, 0].min())
     for label, qa, qb in (("first", a[0, 0], b[0, 0]), ("last", a[-1, 0], b[-1, 0])):
-        if abs(qa - qb) > ENDPOINT_TOL:
+        if abs(qa - qb) > ENDPOINT_TOL * extent:
             raise ValueError(
                 f"paths do not interfere: {label} configuration points differ, "
-                f"path1 {label} q = {qa!r} vs path2 {label} q = {qb!r}"
+                f"path1 {label} q = {float(qa)!r} vs path2 {label} q = {float(qb)!r}"
             )
     return (action_integral(a) - action_integral(b)) / hbar
 

@@ -200,8 +200,10 @@ def circulation_integral(core, loop, sigma: int = 1) -> float:
     Sums the wrapped angle increments delta in (-pi, pi] seen from the
     core, segment by segment, times sigma.  Exact (to rounding) for any
     polygonal loop: the result is 2 pi sigma times the loop's winding
-    number around the core.  The loop must keep every vertex farther than
-    1e-9 from the core.
+    number around the core.  The loop must keep every vertex farther from
+    the core than 1e-9 times the loop's size seen from the core (its
+    farthest vertex's distance), so the test does not depend on the unit
+    of length.
     """
     if sigma not in (1, -1):
         raise ValueError(f"sigma must be +1 or -1, got {sigma}")
@@ -211,10 +213,11 @@ def circulation_integral(core, loop, sigma: int = 1) -> float:
     poly = as_path(loop, min_vertices=3, name="loop")
     rel = poly - c
     dist = np.hypot(rel[:, 0], rel[:, 1])
-    dmin = float(dist.min())
-    if dmin <= 1e-9:
+    dmin, dmax = float(dist.min()), float(dist.max())
+    if dmin <= 1e-9 * dmax:
         raise ValueError(
-            f"loop passes through the core: minimum vertex distance {dmin:g} <= 1e-09"
+            f"loop passes through the core: minimum vertex distance {dmin:g} "
+            f"<= 1e-09 x maximum {dmax:g}"
         )
     theta = np.arctan2(rel[:, 1], rel[:, 0])
     d = np.diff(np.concatenate([theta, theta[:1]]))

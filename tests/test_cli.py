@@ -1,14 +1,20 @@
 """End-to-end checks of the command line interface and its exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncplane import cli
 from ncplane.cli import ConfigError, _read_path_csv, main
@@ -839,6 +845,84 @@ def test_vortex_config_core_is_strict(tmp_path, capsys, core, name):
     code, out, err = run_cli(["vortex", "--config", str(path)], capsys)
     assert code == 2
     assert f'"{name}" must be a number' in err
+
+
+@pytest.mark.parametrize("density, region, need", [
+    (1e15, [0, 0, 1, 1], "1.6e+16"),
+    (1e30, [0, 0, 1, 1], "1.6e+31"),
+    (1e300, [0, 0, 1e10, 1e10], "inf"),
+], ids=["1e15", "1e30", "1e300-on-1e20"])
+def test_vortex_scatter_too_large_names_the_density(tmp_path, capsys, density, region, need):
+    # refused from the setting alone: no atom array is allocated
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {**_SCATTER_CFG, "scatter": {"density": density, "seed": 1, "region": region}}))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run_cli(["vortex", "--config", str(path)], capsys)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    area = (region[2] - region[0]) * (region[3] - region[1])
+    assert line.startswith(
+        f"error: setting \"scatter.density\" = {density:g} on a region of area {area:g} "
+        f"needs {need} bytes of atoms, more than the ")
+    assert line.endswith(" bytes of physical memory")
+    assert elapsed < 1.0
+    assert peak < 4 * 2**20, f"{peak} B traced"
+
+
+def test_vortex_scatter_is_held_to_physical_memory(tmp_path, capsys, monkeypatch):
+    # 1e5 atoms take 1.6e6 B: refused on a 1e6 B machine, drawn on a 2e6 B one
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {**_SCATTER_CFG, "scatter": {"density": 1e5, "seed": 1, "region": [0, 0, 1, 1]}}))
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1e6)
+    code, _, err = run_cli(["vortex", "--config", str(path)], capsys)
+    assert code == 2
+    assert err == ("error: setting \"scatter.density\" = 100000 on a region of area 1 needs "
+                   "1.6e+06 bytes of atoms, more than the 1e+06 bytes of physical memory\n")
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2e6)
+    code, out, _ = run_cli(["vortex", "--config", str(path)], capsys)
+    assert code == 0 and json.loads(out)["atoms"] == 100000
+
+
+def _vortex_outcome(cfg_path, cfg):
+    """Exit code and parsed stdout of one in-process vortex --config run."""
+    cfg_path.write_text(json.dumps(cfg))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["vortex", "--config", str(cfg_path)])
+    return code, (json.loads(out.getvalue()) if code == 0 else None)
+
+
+_grid = st.integers(-16, 16)
+
+
+@settings(deadline=None, max_examples=60)
+@given(loop=st.lists(st.tuples(_grid, _grid), min_size=3, max_size=8),
+       corner=st.integers(0, 7), step=st.tuples(st.sampled_from([-1, 0, 1]), st.integers(-1, 1)),
+       depth=st.integers(0, 45), k=st.integers(-60, 60))
+def test_vortex_core_results_are_scale_free(tmp_path_factory, loop, corner, step, depth, k):
+    # the core sits 2^-depth from a vertex: near enough, the loop passes
+    # through it (exit 2) at every scale, or at none
+    loop = np.array(loop, dtype=float)
+    core = loop[corner % len(loop)] + np.ldexp(np.array(step, dtype=float), -depth)
+    path = tmp_path_factory.mktemp("scaled") / "cfg.json"
+    outcomes = [
+        _vortex_outcome(path, {"schema_version": 1, "core": np.ldexp(core, e).tolist(),
+                               "scene": {"core_loop": np.ldexp(loop, e).tolist(),
+                                         "atoms": [], "sigma": 1}})
+        for e in (0, k)]
+    (code, report), (scaled_code, scaled) = outcomes
+    assert scaled_code == code
+    if code == 0:
+        assert scaled["core_winding"] == report["core_winding"]
+        assert scaled["circulation"] == report["circulation"]
 
 
 _TRIANGLE = [[0, 0], [1, 0], [1, 1]]

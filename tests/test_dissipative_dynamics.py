@@ -8,6 +8,7 @@ exact propagator expm(A t) is the oracle for the RK4 trajectory array.
 import dataclasses
 import math
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -504,15 +505,60 @@ def test_bohr_frequencies_match_the_per_entry_periodogram(d, seed):
     assert bohr_reference(static, dt).size == 0
 
 
-@pytest.mark.parametrize("block", [1, 3 * 256, 1 << 17])
-def test_bohr_frequencies_do_not_depend_on_the_block(monkeypatch, block):
-    # 256 samples: 1, 3 and all 10 upper entries of d = 5 per FFT block; the
+@pytest.mark.parametrize("energies, block", [
+    ([0.0, 0.0, 1.9, 2.2, 4.0], 1),
+    ([0.0, 0.0, 1.9, 2.2, 4.0], 3 * 256),
+    ([0.0, 0.0, 1.9, 2.2, 4.0], 1 << 17),
+    ([0.0, 0.0, 0.7, 1.9, 2.2, 3.1, 4.0, 4.6], 1),
+    ([0.0, 0.0, 0.7, 1.9, 2.2, 3.1, 4.0, 4.6], 2 * 256),
+    (0.31 * np.arange(15), 1),
+], ids=["1", "768", "131072", "d8-1", "d8-512", "d15-1"])
+def test_bohr_frequencies_do_not_depend_on_the_block(monkeypatch, energies, block):
+    # 256 samples: 1, 3 and all 10 upper entries of d = 5 per FFT block, so
+    # groups of 8, 24 and 10 entries; d = 8 has 28 entries, in groups of 8 or
+    # 16, and d = 15 has 105, which leave a one-entry last group.  The
     # degenerate pair keeps one coherence constant, which only its own mean removes
-    rhos = sample_coherences(np.array([0.0, 0.0, 1.9, 2.2, 4.0]), 256, 0.3)
+    rhos = sample_coherences(np.asarray(energies), 256, 0.3)
     want = bohr_reference(rhos, 0.3)
     monkeypatch.setattr(dissipative_dynamics, "_FFT_BLOCK", block)
     assert want.size > 0
     assert np.array_equal(bohr_frequencies(rhos, 0.3), want)
+
+
+def test_bohr_frequencies_weigh_a_faint_beat_against_every_group(monkeypatch):
+    # d = 5 with one-entry FFT blocks: groups of entries 0-7 and 8-9.  The
+    # constant coherence (0, 1) of the first group carries nearly all the
+    # raw power; against it the faint beat in (3, 4), in the last group, is
+    # silent, but against the last group's raw power alone it is a peak
+    n, dt = 256, 0.3
+    rhos = np.zeros((n, 5, 5), dtype=complex)
+    rhos[:, 0, 1] = 1e3
+    rhos[:, 3, 4] = 3e-10 * np.exp(-1j * 1.3 * dt * np.arange(n))
+    monkeypatch.setattr(dissipative_dynamics, "_FFT_BLOCK", 1)
+    assert bohr_frequencies(rhos, dt).size == bohr_reference(rhos, dt).size == 0
+    rhos[:, 0, 1] = 0.0
+    assert bohr_frequencies(rhos, dt).size == bohr_reference(rhos, dt).size == 1
+
+
+def test_bohr_frequencies_hold_one_group_beyond_the_input():
+    n, d = 4096, 40
+    rhos = np.empty((n, d, d), dtype=complex)
+    rho0 = np.full((d, d), 1.0 / d)
+    energies = 0.05 * np.arange(d) ** 1.5
+    for k in range(n):
+        rhos[k] = evolve_density(energies, rho0, 0.05 * k)
+    tracemalloc.start()
+    try:
+        found = bohr_frequencies(rhos, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found.size > 0
+    # one group of 8 FFT blocks (16 MiB), then an FFT block, its transform
+    # and the FFT's own scratch; the whole upper triangle would be 51 MB more
+    group = 16 * dissipative_dynamics._GROUP_BLOCKS * dissipative_dynamics._FFT_BLOCK
+    budget = group + 8 * 2**20
+    assert peak <= budget, f"{peak} B traced, budget {budget} B"
 
 
 def test_bohr_frequencies_names_the_sample_of_a_ragged_stack():

@@ -101,6 +101,43 @@ def test_phase_action_rejects_detached_endpoints():
     interference_phase_action(upper, lower_ok)
 
 
+_grid = st.integers(-16, 16)
+# an endpoint mismatch: none, or +-2^-m, either side of the 1e-9 relative band
+_mismatch = st.one_of(st.just(0.0), st.builds(
+    lambda sign, m: sign * 2.0 ** -m, st.sampled_from([-1.0, 1.0]), st.integers(0, 50)))
+
+
+@settings(deadline=None)
+@given(path1=st.lists(st.tuples(_grid, _grid), min_size=2, max_size=8),
+       middle=st.lists(st.tuples(_grid, _grid), max_size=6), p_ends=st.tuples(_grid, _grid),
+       first=_mismatch, last=_mismatch, k=st.integers(-60, 60), j=st.integers(-60, 60))
+def test_phase_action_is_scale_free(path1, middle, p_ends, first, last, k, j):
+    # q scaled by 2^k and p by 2^j: the same paths interfere, and the phase
+    # scales by exactly 2^(k + j)
+    a = np.array(path1, dtype=float)
+    b = np.array([(a[0, 0] + first, p_ends[0]), *middle, (a[-1, 0] + last, p_ends[1])],
+                 dtype=float)
+
+    def phase(scale_q, scale_p):
+        factor = np.array([2.0 ** scale_q, 2.0 ** scale_p])
+        try:
+            return interference_phase_action(a * factor, b * factor)
+        except ValueError as exc:
+            assert "paths do not interfere" in str(exc)
+            return None
+
+    unscaled, scaled = phase(0, 0), phase(k, j)
+    assert (scaled is None) == (unscaled is None)
+    if unscaled is not None:
+        assert scaled == unscaled * 2.0 ** (k + j)
+
+
+def test_phase_action_message_prints_plain_floats():
+    with pytest.raises(ValueError, match=r"path1 last q = 1\.0 vs path2 last q = 0\.0$"):
+        interference_phase_action(np.array([[0.0, 0.0], [1.0, 1.0]]),
+                                  np.array([[0.0, 0.0], [0.0, 1.0]]))
+
+
 def test_to_phase_space_scaling():
     params = NcParams(L=0.5, hbar=2.0)
     mapped = to_phase_space(UNIT_SQUARE, params)
