@@ -55,16 +55,21 @@ relative to tests/golden/film/ marked "@" and files in the run's
 temporary directory marked "$"; stdout and the output file must match
 byte for byte.
 
+The help goldens (tests/golden/help.json) hold the `--help` text of
+`ncplane` and of each of its five commands, recorded with COLUMNS=80
+(argparse wraps to the terminal width); they must match byte for byte.
+
 To record goldens again from a reference checkout (all groups by default):
 
     PYTHONPATH=src python tests/test_golden.py [algebra] [spectrum] [film] [evolve] [landau] \
-        [config]
+        [config] [help]
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +85,7 @@ EVOLVE_FILE = GOLDEN / "evolve.json"
 EVOLVE_INPUTS = GOLDEN / "evolve"
 LANDAU_FILE = GOLDEN / "landau.json"
 CONFIG_FILE = GOLDEN / "config.json"
+HELP_FILE = GOLDEN / "help.json"
 
 ALGEBRA_PARAMS = {
     "magnetic": {
@@ -285,6 +291,11 @@ CONFIG_CASES = {
     "evolve-potential-polynomial": ("evolve", {**_EVOLVE, "canonical": False},
                                     ["--potential", "polynomial", "--coeffs", "0,0,0.4,-0.05,0.3"]),
 }
+HELP_CASES = {
+    name: [*name.split()[1:], "--help"]
+    for name in ("ncplane", "ncplane spectrum", "ncplane evolve", "ncplane phase",
+                 "ncplane algebra", "ncplane vortex")
+}
 
 
 def _inputs_argv(argv, base: Path) -> list:
@@ -333,6 +344,15 @@ def _run_config(case, tmp_dir: Path) -> dict:
         code = main(argv)
     assert code == 0, f"{argv} exited with {code}"
     return {"stdout": stdout.getvalue(), "out": (tmp_dir / "out").read_text()}
+
+
+def _help_text(argv) -> str:
+    """stdout of one --help case; the caller sets COLUMNS."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    assert code == 0, f"{argv} exited with {code}"
+    return stdout.getvalue()
 
 
 def _golden_algebra() -> dict:
@@ -396,6 +416,13 @@ def test_config_matches_golden_bytes(name, tmp_path):
     assert _run_config(CONFIG_CASES[name], tmp_path) == want
 
 
+@pytest.mark.parametrize("name", sorted(HELP_CASES))
+def test_help_matches_golden_bytes(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = json.loads(HELP_FILE.read_text())[name]
+    assert _help_text(HELP_CASES[name]) == want
+
+
 def record(tmp_dir: Path, groups) -> None:
     """Write the goldens of the given groups from the ncplane on sys.path."""
     GOLDEN.mkdir(exist_ok=True)
@@ -429,6 +456,10 @@ def record(tmp_dir: Path, groups) -> None:
             (tmp_dir / "out").unlink(missing_ok=True)
             config[name] = _run_config(case, tmp_dir)
         CONFIG_FILE.write_text(json.dumps(config, indent=1, sort_keys=True) + "\n")
+    if "help" in groups:
+        os.environ["COLUMNS"] = "80"
+        help_texts = {name: _help_text(argv) for name, argv in HELP_CASES.items()}
+        HELP_FILE.write_text(json.dumps(help_texts, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
@@ -437,4 +468,4 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         record(Path(tmp), sys.argv[1:] or ("algebra", "spectrum", "film", "evolve", "landau",
-                                           "config"))
+                                           "config", "help"))
