@@ -8,30 +8,19 @@ JSON config files must carry "schema_version": 1; identical configs produce
 byte-identical output (statistical vortex scenes require an explicit
 scatter seed).
 
-Config/flag cheat sheet (flags override config keys; README.md lists every
-key with its JSON type and default, and a value of another type is an error
-that names its key, as is a key that none of the command's routes reads):
-
-  spectrum  --kind distance --L 1.0 --dim 4
-  spectrum  --kind landau --hbar 1.0 --omega-c 1.0 --n-max 2
-  evolve    --config run.json  # params{M,R,hbar,potential}/initial/dt/steps/canonical/out
-  phase     --loop loop.csv --L 0.5      # area + action routes (loop_csv, loop, L, hbar)
-  phase     --path1 a.csv --path2 b.csv  # action route only (path1_csv, path2_csv)
-  phase     --loop loop.csv --ab --B 1.0 # flux route + area route (ab, magnetic{B,e,c,M,hbar})
-  phase     --scene scene.json           # vortex winding route (scene_json, scene)
-  algebra   --kind magnetic --dim 6 --B 2.0
-  vortex    --scene scene.json --core 0.2,0.3  # (scene_json, scene, core, scatter)
-
-spectrum, phase and algebra share the field flags --B --charge --light-speed
---mass --hbar and --out; a field value is 1.0 when absent, except that spectrum
-needs --B or --omega-c and phase's flux route needs B.  A flag that the
-chosen route does not read is an error that names it.
-A scene or loop comes from its flag, else its file key, else its inline key.
+Each command's flags and config keys are declared once, in the settings
+table _COMMANDS below: each row gives a flag, its config key, kind, default,
+help and the routes that read it (README.md lists them).  A flag overrides
+its config key.  A value of another kind, a config key that no route of the
+command reads and a flag that the chosen route does not read are errors
+that name them.  A scene or loop comes from its flag's file, else its file
+key, else its inline key.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
 import itertools
@@ -352,34 +341,6 @@ def _load_json(path: str, what: str) -> dict:
     return data
 
 
-# field flag: its MagneticParams field, also its key in a "magnetic" config object
-_FIELD_FLAGS = {"B": "B", "charge": "e", "light_speed": "c", "mass": "M", "hbar": "hbar"}
-# scene key: the kind of its value (see _KINDS)
-_SCENE_KEYS = {"core_loop": "vertices", "atoms": "vertices", "sigma": "integer",
-               "density": "number"}
-# the keys a config of each command may hold, over all of its routes; a dict
-# value lists the keys of an object, which are checked in turn
-_CONFIG_KEYS = {
-    "evolve": {
-        "params": {"M": None, "R": None, "hbar": None,
-                   "potential": dict.fromkeys(("kind", "k", "coeffs"))},
-        "initial": dict.fromkeys(("x_plus", "x_minus", "v_plus", "v_minus", "t")),
-        **dict.fromkeys(("dt", "steps", "canonical", "out")),
-    },
-    "phase": {
-        "scene": _SCENE_KEYS,
-        "magnetic": dict.fromkeys(_FIELD_FLAGS.values()),
-        **dict.fromkeys(("out", "hbar", "scene_json", "loop_csv", "loop", "path1_csv",
-                         "path2_csv", "ab", "L")),
-    },
-    "vortex": {
-        "scene": _SCENE_KEYS,
-        "scatter": dict.fromkeys(("density", "seed", "region")),
-        **dict.fromkeys(("out", "scene_json", "core")),
-    },
-}
-
-
 def _check_keys(node: dict, known: dict, where: str = "") -> None:
     """Reject the first key of node, or of a nested object, that known lacks,
     naming its qualified path and the nearest known key."""
@@ -402,7 +363,7 @@ def _load_config(path: str, command: str) -> dict:
         raise ConfigError(
             f"config {path} must set \"schema_version\": {SCHEMA_VERSION}, got {version!r}"
         )
-    _check_keys(data, {"schema_version": None, **_CONFIG_KEYS[command]})
+    _check_keys(data, {"schema_version": None, **_INDEX[command][1]})
     return data
 
 
@@ -508,27 +469,167 @@ def _mismatch(value, name: str, kind: str) -> ConfigError:
     return ConfigError(f"setting \"{name}\" must be {what}, got {value!r}")
 
 
-def _setting(flag, node: dict, name: str, kind: str, default=_REQUIRED):
-    """One CLI setting: the flag when given, else node[key], else default,
-    where key is the last dotted part of name.
+# ------------------------------------------------------------------ settings
+# Each command's settings in --help order, one row per flag or config key:
+# the flag (None: config only), the config path (None: flag only; per route
+# when a dict), the kind (a _KINDS key, or a choice flag's values), the
+# default (_REQUIRED: none), the help and the routes that read it ("*": all).
+# A scene's or loop's flag names a file; its config path holds it inline.
 
-    A null config value counts as absent, but is of the wrong kind for a
-    required setting (no default).  Flags arrive typed from argparse and
-    are checked like config values; errors name the setting by name.
-    Numbers come back as floats, lists as float arrays.
-    """
-    key = name.rpartition(".")[2]
-    value = node.get(key) if flag is None else flag
-    if value is None:
-        if default is not _REQUIRED:
-            return default
-        if key not in node:
-            raise ConfigError(f"missing required setting: {name}")
-    if not _fits(value, kind):
-        raise _mismatch(value, name, kind)
-    if kind == "number":
-        return float(value)
-    return np.asarray(value, dtype=float) if type(value) is list else value
+# the keys of a scene object, inline or from a file; each is read when present
+_SCENE = [(None, f"scene.{key}", kind, None, None, "scene") for key, kind in (
+    ("core_loop", "vertices"), ("atoms", "vertices"), ("sigma", "integer"), ("density", "number"))]
+_OUT = "output file (default: stdout)"
+_CONFIG = "JSON config file (schema_version 1)"
+_COMMANDS = {  # command: (its help, its rows)
+    "spectrum": ("distance or Landau level spectra", [
+        ("--B", None, "number", None, "field strength", "landau"),
+        ("--charge", None, "number", 1.0, None, "landau"),
+        ("--light-speed", None, "number", 1.0, None, "landau"),
+        ("--mass", None, "number", 1.0, None, "landau"),
+        ("--hbar", None, "number", 1.0, None, "distance landau omega_c"),
+        ("--out", None, "path", None, _OUT, "*"),
+        ("--kind", None, ("distance", "landau"), _REQUIRED, None, "*"),
+        ("--L", None, "number", _REQUIRED, "length scale (distance spectrum)", "distance"),
+        ("--dim", None, "integer", _REQUIRED, "truncation dimension (distance spectrum)",
+         "distance"),
+        ("--omega-c", None, "number", None,
+         "cyclotron frequency (alternative to --B; sets e = c = M = 1)", "landau omega_c"),
+        ("--n-max", None, "integer", _REQUIRED, "highest level index", "landau omega_c"),
+        ("--format", None, ("csv", "json"), "csv", None, "*"),
+    ]),
+    "evolve": ("integrate the doubled-coordinate dynamics", [
+        ("--config", None, "path", None, _CONFIG, "*"),
+        (None, "params", "object", None, None, "*"),
+        ("--M", "params.M", "number", _REQUIRED, "mass", "*"),
+        ("--R", "params.R", "number", _REQUIRED, "friction constant (0 allowed)", "*"),
+        ("--hbar", "params.hbar", "number", 1.0, None, "*"),
+        ("--potential", "params.potential.kind", ("free", "harmonic", "polynomial"), None, None,
+         "free harmonic polynomial"),
+        ("--k", "params.potential.k", "number", _REQUIRED, "harmonic stiffness", "harmonic"),
+        ("--coeffs", "params.potential.coeffs", "numbers", _REQUIRED,
+         "polynomial coefficients c0,c1,...", "polynomial"),
+        (None, "initial", "object", None, None, "*"),
+        ("--x-plus", "initial.x_plus", "number", 0.0, None, "*"),
+        ("--x-minus", "initial.x_minus", "number", 0.0, None, "*"),
+        ("--v-plus", "initial.v_plus", "number", 0.0, None, "*"),
+        ("--v-minus", "initial.v_minus", "number", 0.0, None, "*"),
+        (None, "initial.t", "number", 0.0, None, "*"),
+        ("--dt", "dt", "number", _REQUIRED, None, "*"),
+        ("--steps", "steps", "integer", _REQUIRED, None, "*"),
+        ("--canonical", "canonical", "boolean", None,
+         "include xi/X/orbit-invariant columns (requires R > 0)", "*"),
+        ("--out", "out", "path", None, "trajectory CSV file (default: stdout)", "*"),
+    ]),
+    "phase": ("interference phases by area, action, flux, or winding", [
+        ("--B", "magnetic.B", "number", _REQUIRED, "field strength", "flux"),
+        ("--charge", "magnetic.e", "number", 1.0, None, "flux"),
+        ("--light-speed", "magnetic.c", "number", 1.0, None, "flux"),
+        ("--mass", "magnetic.M", "number", 1.0, None, "flux"),
+        ("--hbar", {"paths": "hbar", "loop": "hbar", "flux": "magnetic.hbar"}, "number", 1.0,
+         None, "paths loop flux"),
+        ("--out", "out", "path", None, _OUT, "*"),
+        ("--config", None, "path", None, _CONFIG, "*"),
+        ("--loop", "loop", "vertices", None, "loop vertex CSV", "flux loop"),
+        (None, "loop_csv", "path", None, None, "flux loop"),
+        ("--L", "L", "number", _REQUIRED, "length scale for the area route", "loop"),
+        ("--path1", "path1_csv", "path", None, "phase-space path CSV (action route)", "paths"),
+        ("--path2", "path2_csv", "path", None, "phase-space path CSV (action route)", "paths"),
+        ("--ab", "ab", "boolean", False, "flux route: use field parameters", "flux"),
+        (None, "magnetic", "object", None, None, "flux"),
+        ("--scene", "scene", "object", None, "vortex scene JSON (winding route)", "scene"),
+        (None, "scene_json", "path", None, None, "scene"),
+        *_SCENE,
+    ]),
+    "algebra": ("pairwise commutator tables", [
+        ("--B", None, "number", 1.0, "field strength", "magnetic"),
+        ("--charge", None, "number", 1.0, None, "magnetic"),
+        ("--light-speed", None, "number", 1.0, None, "magnetic"),
+        ("--mass", None, "number", 1.0, None, "magnetic dissipative"),
+        ("--hbar", None, "number", 1.0, None, "magnetic dissipative"),
+        ("--out", None, "path", None, _OUT, "*"),
+        ("--kind", None, ("magnetic", "dissipative"), _REQUIRED, None, "*"),
+        ("--dim", None, "integer", _REQUIRED, "single-factor truncation dimension", "*"),
+        ("--R", None, "number", None, "friction constant (dissipative)", "dissipative"),
+    ]),
+    "vortex": ("winding phase and circulation for a vortex scene", [
+        ("--config", None, "path", None, _CONFIG, "*"),
+        ("--scene", "scene", "object", None, "scene JSON file", "scene"),
+        (None, "scene_json", "path", None, None, "scene"),
+        *_SCENE,
+        ("--core", "core", "pair", None, "vortex position \"x,y\" for circulation", "scene"),
+        (None, "scatter", "object", None, None, "scene"),
+        (None, "scatter.density", "number", None, None, "scene"),
+        (None, "scatter.seed", "integer", _REQUIRED, None, "scene"),
+        (None, "scatter.region", "numbers", _REQUIRED, None, "scene"),
+        ("--out", "out", "path", None, None, "*"),
+    ]),
+}
+_Row = collections.namedtuple("_Row", "flag key kind default help routes")
+
+
+def _index(rows: list) -> tuple:
+    """A command's rows by name (a flag's dest, else the config path), each
+    with the set of routes that read it, and the keys its configs may hold."""
+    every = frozenset(route for *_, reads in rows for route in reads.split()) - {"*"}
+    named, tree = {}, {}
+    for flag, key, kind, default, help_text, reads in rows:
+        name = flag[2:].replace("-", "_") if flag else key
+        named[name] = _Row(flag, key, kind, default, help_text,
+                           every if reads == "*" else frozenset(reads.split()))
+        for path in key.values() if isinstance(key, dict) else [key] * bool(key):
+            *parents, leaf = path.split(".")
+            node = functools.reduce(lambda node, part: node.setdefault(part, {}), parents, tree)
+            node.setdefault(leaf, {} if kind == "object" else None)  # an object holds its keys
+    return named, tree
+
+
+_INDEX = {command: _index(rows) for command, (_, rows) in _COMMANDS.items()}
+
+
+class _Settings:
+    """One command's settings, each read by its row's name: the flag when
+    given, else the config key, else the default (a null config value is
+    absent, and of the wrong kind for a required setting).  Errors name a
+    setting by its config path, else its flag; numbers come back as floats,
+    lists as float arrays."""
+
+    def __init__(self, args):
+        self.args, self.cfg, self.route = args, {}, None
+        self.rows, self.keys = _INDEX[args.command]
+        path = self("config") if "config" in self.rows else None
+        if path:
+            self.cfg = _load_config(path, args.command)
+
+    def __call__(self, name: str, node: dict | None = None):
+        """The named setting, its key read from node (default: the config)."""
+        row = self.rows[name]
+        value = getattr(self.args, name, None)
+        if isinstance(row.kind, tuple):  # argparse checked the flag; a config value is read by hand
+            return row.default if value is None else value
+        path = row.key.get(self.route) if isinstance(row.key, dict) else row.key or row.flag
+        key = path.rpartition(".")[2]
+        node = self.cfg if node is None else node
+        value = node.get(key) if value is None else value
+        if value is None:
+            if row.default is not _REQUIRED:
+                return row.default
+            if key not in node:
+                raise ConfigError(f"missing required setting: {path}")
+        if not _fits(value, row.kind):
+            raise _mismatch(value, path, row.kind)
+        if row.kind == "number":
+            return float(value)
+        return np.asarray(value, dtype=float) if type(value) is list else value
+
+    def only(self, route: str, error: str) -> None:
+        """Raise error % the flags given that route does not read, if any;
+        later reads take the config paths of route."""
+        ignored = ", ".join(row.flag for name, row in self.rows.items()
+                            if route not in row.routes and getattr(self.args, name, None) is not None)
+        if ignored:
+            raise ConfigError(error % ignored)
+        self.route = route
 
 
 def _floats(text: str) -> list[float]:
@@ -539,18 +640,19 @@ def _floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected numbers separated by commas, got {text!r}")
 
 
-def _input(flag, cfg: dict, file_key: str, read, key: str, kind: str):
-    """A scene or loop: read from the file that its flag, else cfg[file_key],
-    names; else given inline as cfg[key]; else None."""
-    path = _setting(flag, cfg, file_key, "path", None)
-    if path is not None:
-        return read(path)
-    return _setting(None, cfg, key, kind, None)
+def _input(get: _Settings, name: str, file_key: str, read):
+    """A scene or loop: read from the file that its flag, else its config
+    file_key, names; else given inline under its own key; else None."""
+    path = getattr(get.args, name)
+    if path is None:
+        path = get(file_key)
+    return get(name) if path is None else read(path)
 
 
-def _potential_from(node, kind=None, k=None, coeffs=None) -> Potential:
-    """The potential of a config "potential" node; a kind flag (with the
-    k or coeffs flag it needs) replaces the node."""
+def _potential_from(get: _Settings, node) -> Potential:
+    """The potential of a config "potential" node; the --potential flag (with
+    the k or coeffs setting it needs) replaces the node."""
+    kind = get("potential")
     if kind is not None:
         node = {}
     elif node is None:
@@ -562,71 +664,73 @@ def _potential_from(node, kind=None, k=None, coeffs=None) -> Potential:
     if kind == "free":
         return Potential.free()
     if kind == "harmonic":
-        return Potential.harmonic(_setting(k, node, "params.potential.k", "number"))
+        return Potential.harmonic(get("k", node))
     if kind == "polynomial":
-        if coeffs is None and type(node.get("coeffs")) is not list:
+        if get.args.coeffs is None and type(node.get("coeffs")) is not list:
             raise ConfigError(
                 f"polynomial potential needs a \"coeffs\" list, got {node.get('coeffs')!r}"
             )
-        return Potential.polynomial(_setting(coeffs, node, "params.potential.coeffs", "numbers"))
+        return Potential.polynomial(get("coeffs", node))
     raise ConfigError(f"unknown potential kind {kind!r} (free, harmonic, polynomial)")
 
 
-def _ignored(args, *reads: str) -> str:
-    """The flags given on the command line that are not in reads, as text.
-    --config, --out, --kind and --format are left out, as every route of
-    their commands reads them; command and func are no flags."""
-    return ", ".join(f"--{name.replace('_', '-')}" for name, value in vars(args).items()
-                     if value is not None and name not in reads and name not in
-                     ("command", "func", "config", "out", "kind", "format"))
+def _magnetic(get: _Settings, node: dict | None = None, B=None) -> MagneticParams:
+    """Field parameters from the field settings (their keys in node, a
+    config's "magnetic" object); B, when given, stands in for an absent B."""
+    return MagneticParams(B=get("B", node) if B is None else B, e=get("charge", node),
+                          c=get("light_speed", node), M=get("mass", node), hbar=get("hbar", node))
 
 
-def _reads_only(args, route: str, *reads: str) -> None:
-    """Reject the flags given on the command line that route does not read."""
-    ignored = _ignored(args, *reads)
-    if ignored:
-        raise ConfigError(f"{route} does not read {ignored}")
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where os.sysconf cannot tell."""
+    try:
+        return float(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
 
-def _magnetic(args, node: dict, B=_REQUIRED) -> MagneticParams:
-    """Field parameters: each field flag, else its key in node (a config's
-    "magnetic" object), else its default (1.0; B has none unless given)."""
-    return MagneticParams(**{
-        key: _setting(getattr(args, flag), node, f"magnetic.{key}", "number",
-                      B if key == "B" else 1.0)
-        for flag, key in _FIELD_FLAGS.items()
-    })
+def _hold(name: str, value, need, what: str) -> None:
+    """Refuse a setting whose need bytes of what exceed physical memory,
+    before anything that size is allocated."""
+    memory = _physical_memory()
+    if not need <= memory:
+        need = need if need <= sys.float_info.max else math.inf
+        raise ConfigError(f"setting \"{name}\" = {value} needs {need:.3g} bytes of {what}, "
+                          f"more than the {memory:.3g} bytes of physical memory")
 
 
 # ----------------------------------------------------------------- spectrum
 
 def run_spectrum(args) -> int:
-    if args.kind == "distance":
-        _reads_only(args, "spectrum --kind distance", "L", "dim", "hbar")
-        params = NcParams(L=_setting(args.L, {}, "--L", "number"),
-                          hbar=_setting(args.hbar, {}, "--hbar", "number", 1.0))
-        values = distance_spectrum(params, _setting(args.dim, {}, "--dim", "integer"))
+    get = _Settings(args)
+    kind = get("kind")
+    if kind == "distance":
+        get.only("distance", "spectrum --kind distance does not read %s")
+        params = NcParams(L=get("L"), hbar=get("hbar"))
+        dim = get("dim")
+        _hold("--dim", dim, 8 * dim, "eigenvalues")
+        values = distance_spectrum(params, dim)
     else:
-        _reads_only(args, "spectrum --kind landau", *_FIELD_FLAGS, "omega_c", "n_max")
-        if args.omega_c is not None:
-            if args.B is not None:
+        get.only("landau", "spectrum --kind landau does not read %s")
+        omega_c = get("omega_c")
+        if omega_c is not None:
+            if get("B") is not None:
                 raise ConfigError("give either --omega-c or --B, not both")
-            ignored = _ignored(args, "hbar", "omega_c", "n_max")
-            if ignored:
-                raise ConfigError(f"--omega-c sets e = c = M = 1 and would ignore {ignored}; "
-                                  f"give --B instead")
-        elif args.B is None:
+            get.only("omega_c", "--omega-c sets e = c = M = 1 and would ignore %s; give --B instead")
+        elif get("B") is None:
             raise ConfigError("landau spectrum needs --omega-c or --B")
-        n_max = _setting(args.n_max, {}, "--n-max", "integer")
+        n_max = get("n_max")
+        _hold("--n-max", n_max, 8 * (n_max + 1), "levels")
         # with e = c = M = 1 the field strength equals the cyclotron frequency
-        values = landau_spectrum(_magnetic(args, {}, B=args.omega_c), n_max)
+        values = landau_spectrum(_magnetic(get, B=omega_c), n_max)
 
-    if args.format == "json":
-        _emit_json({"kind": args.kind, "values": [float(v) for v in values]}, args.out)
+    out = get("out")
+    if get("format") == "json":
+        _emit_json({"kind": kind, "values": [float(v) for v in values]}, out)
     else:
         table = np.column_stack((np.arange(len(values)), values))
         _require_finite("n,value", table)
-        _emit_csv("n,value", table, args.out)
+        _emit_csv("n,value", table, out)
     return EXIT_OK
 
 
@@ -699,33 +803,29 @@ class _EvolveRows:
 
 
 def run_evolve(args) -> int:
-    cfg = _load_config(args.config, args.command) if args.config else {}
-    pcfg = _setting(None, cfg, "params", "object", {})
-    icfg = _setting(None, cfg, "initial", "object", {})
-    params = DissipativeParams(
-        M=_setting(args.M, pcfg, "params.M", "number"),
-        R=_setting(args.R, pcfg, "params.R", "number"),
-        hbar=_setting(args.hbar, pcfg, "params.hbar", "number", 1.0),
-        potential=_potential_from(pcfg.get("potential"), args.potential, args.k, args.coeffs),
-    )
-    _reads_only(args, f"evolve with a {params.potential.kind} potential", "M", "R", "hbar",
-                "potential", "x_plus", "x_minus", "v_plus", "v_minus", "dt", "steps", "canonical",
-                *{"harmonic": ("k",), "polynomial": ("coeffs",)}.get(params.potential.kind, ()))
+    get = _Settings(args)
+    pcfg = get("params") or {}
+    icfg = get("initial") or {}
+    params = DissipativeParams(M=get("M", pcfg), R=get("R", pcfg), hbar=get("hbar", pcfg),
+                               potential=_potential_from(get, pcfg.get("potential")))
+    get.only(params.potential.kind,
+             f"evolve with a {params.potential.kind} potential does not read %s")
     initial = TwoCoordState(
-        x_plus=_setting(args.x_plus, icfg, "initial.x_plus", "number", 0.0),
-        x_minus=_setting(args.x_minus, icfg, "initial.x_minus", "number", 0.0),
-        v_plus=_setting(args.v_plus, icfg, "initial.v_plus", "number", 0.0),
-        v_minus=_setting(args.v_minus, icfg, "initial.v_minus", "number", 0.0),
-        t=_setting(None, icfg, "initial.t", "number", 0.0),
+        x_plus=get("x_plus", icfg),
+        x_minus=get("x_minus", icfg),
+        v_plus=get("v_plus", icfg),
+        v_minus=get("v_minus", icfg),
+        t=get("initial.t", icfg),
     )
-    dt = _setting(args.dt, cfg, "dt", "number")
-    steps = _setting(args.steps, cfg, "steps", "integer")
-    canonical = _setting(args.canonical, cfg, "canonical", "boolean", None)
+    dt = get("dt")
+    steps = get("steps")
+    canonical = get("canonical")
     if canonical and params.R == 0:
         raise ConfigError("canonical coordinates require R > 0, but the run has R = 0")
     want_canonical = (params.R > 0) if canonical is None else canonical
-    out = _setting(args.out, cfg, "out", "path", None)
+    out = get("out")
 
+    _hold("steps", steps, 40 * (steps + 1), "trajectory")
     with warnings.catch_warnings():
         # the library's RuntimeWarning as one stderr line, without a source location
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
@@ -745,19 +845,17 @@ def run_evolve(args) -> int:
 
 # -------------------------------------------------------------------- phase
 
-def _loop_from(args, cfg: dict):
-    return _input(args.loop, cfg, "loop_csv", _read_path_csv, "loop", "vertices")
+def _loop_from(get: _Settings):
+    return _input(get, "loop", "loop_csv", _read_path_csv)
 
 
-def _scene_from(args, cfg: dict) -> dict | None:
+def _scene_from(get: _Settings) -> dict | None:
     """The scene's checked fields (null ones left out), or None without a scene."""
-    raw = _input(args.scene, cfg, "scene_json", lambda path: _load_json(path, "scene"),
-                 "scene", "object")
+    raw = _input(get, "scene", "scene_json", lambda path: _load_json(path, "scene"))
     if raw is None:
         return None
-    _check_keys(raw, _SCENE_KEYS, "scene.")
-    return {key: _setting(None, raw, f"scene.{key}", kind)
-            for key, kind in _SCENE_KEYS.items() if raw.get(key) is not None}
+    _check_keys(raw, get.keys["scene"], "scene.")
+    return {key: get(f"scene.{key}", raw) for key in get.keys["scene"] if raw.get(key) is not None}
 
 
 def _winding_report(scene) -> dict:
@@ -768,12 +866,12 @@ def _winding_report(scene) -> dict:
 
 
 def run_phase(args) -> int:
-    cfg = _load_config(args.config, args.command) if args.config else {}
-    out = _setting(args.out, cfg, "out", "path", None)
-    scene_data = _scene_from(args, cfg)
-    loop = _loop_from(args, cfg)
-    p1 = _setting(args.path1, cfg, "path1_csv", "path", None)
-    p2 = _setting(args.path2, cfg, "path2_csv", "path", None)
+    get = _Settings(args)
+    out = get("out")
+    scene_data = _scene_from(get)
+    loop = _loop_from(get)
+    p1 = get("path1")
+    p2 = get("path2")
 
     modes = sum(x is not None for x in (scene_data, p1, loop))
     if modes == 0:
@@ -782,27 +880,25 @@ def run_phase(args) -> int:
         raise ConfigError("phase modes are mutually exclusive: give one of loop/paths/scene")
 
     if scene_data is not None:
-        _reads_only(args, "phase --scene", "scene")
+        get.only("scene", "phase --scene does not read %s")
         _emit_json(_winding_report(scene_from_dict(scene_data)), out)
         return EXIT_OK
 
     if p1 is not None or p2 is not None:
         if p1 is None or p2 is None:
             raise ConfigError("action route needs both --path1 and --path2")
-        _reads_only(args, "phase --path1/--path2", "path1", "path2", "hbar")
-        # the top-level hbar: read on this route and the plain loop route only
-        hbar = _setting(args.hbar, cfg, "hbar", "number", 1.0)
+        get.only("paths", "phase --path1/--path2 does not read %s")
+        hbar = get("hbar")
         path1 = _read_path_csv(p1)
         path2 = _read_path_csv(p2)
         phase = interference_phase_action(path1, path2, hbar)
         _emit_json({"phase_action": phase}, out)
         return EXIT_OK
 
-    mcfg = _setting(None, cfg, "magnetic", "object", None)
-    if _setting(args.ab, cfg, "ab", "boolean", False) or mcfg:
-        _reads_only(args, "phase --loop with --ab or a \"magnetic\" object", "loop", "ab",
-                    *_FIELD_FLAGS)
-        mp = _magnetic(args, mcfg or {})
+    mcfg = get("magnetic")
+    if get("ab") or mcfg:
+        get.only("flux", "phase --loop with --ab or a \"magnetic\" object does not read %s")
+        mp = _magnetic(get, mcfg or {})
         phase_ab = aharonov_bohm_phase(mp, loop)
         area_params = NcParams(L=magnetic_length(mp), hbar=mp.hbar)
         phase_area = interference_phase_area(loop, area_params)
@@ -810,9 +906,9 @@ def run_phase(args) -> int:
                     "difference": phase_ab - phase_area}, out)
         return EXIT_OK
 
-    _reads_only(args, "phase --loop without --ab or a \"magnetic\" object", "loop", "L", "hbar")
-    hbar = _setting(args.hbar, cfg, "hbar", "number", 1.0)
-    params = NcParams(L=_setting(args.L, cfg, "L", "number"), hbar=hbar)
+    get.only("loop", "phase --loop without --ab or a \"magnetic\" object does not read %s")
+    hbar = get("hbar")
+    params = NcParams(L=get("L"), hbar=hbar)
     phase_area = interference_phase_area(loop, params)
     phase_action = loop_action_phase(loop, params)
     _emit_json({"phase_area": phase_area, "phase_action": phase_action,
@@ -827,22 +923,26 @@ def _complex_table(mat: np.ndarray) -> list:
 
 
 def run_algebra(args) -> int:
-    dim = _setting(args.dim, {}, "--dim", "integer")
-    if args.kind == "magnetic":
-        _reads_only(args, "algebra --kind magnetic", "dim", *_FIELD_FLAGS)
-        params = _magnetic(args, {}, B=1.0)
-        report = cyclotron_algebra(params, dim)
+    get = _Settings(args)
+    kind = get("kind")
+    dim = get("dim")
+    if kind == "magnetic":
+        get.only("magnetic", "algebra --kind magnetic does not read %s")
+        params = _magnetic(get)
+        build = cyclotron_algebra
     else:
-        _reads_only(args, "algebra --kind dissipative", "dim", "R", "mass", "hbar")
-        if args.R is None or args.R <= 0:
+        get.only("dissipative", "algebra --kind dissipative does not read %s")
+        R = get("R")
+        if R is None or R <= 0:
             raise ConfigError("dissipative algebra needs --R > 0")
-        params = DissipativeParams(M=_setting(args.mass, {}, "--mass", "number", 1.0),
-                                   R=args.R,
-                                   hbar=_setting(args.hbar, {}, "--hbar", "number", 1.0))
-        report = kappa_commutator_check(params, dim)
+        params = DissipativeParams(M=get("mass"), R=R, hbar=get("hbar"))
+        build = kappa_commutator_check
+    # the (dim, dim) complex ladder matrix comes first
+    _hold("--dim", dim, 16 * max(dim, 0) ** 2, "ladder matrix")
+    report = build(params, dim)
     _emit_json(
         {
-            "kind": args.kind,
+            "kind": kind,
             "dim": report.dim,
             "length_scale_sq": params.L2,
             "labels": list(report.labels),
@@ -850,40 +950,34 @@ def run_algebra(args) -> int:
             "artifact": _complex_table(report.artifact),
             "max_clean_deviation": report.max_clean_deviation(),
         },
-        args.out,
+        get("out"),
     )
     return EXIT_OK
 
 
 # ------------------------------------------------------------------- vortex
 
-def _physical_memory() -> float:
-    """Bytes of physical memory, or inf where os.sysconf cannot tell."""
-    try:
-        return float(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
-    except (AttributeError, ValueError, OSError):
-        return math.inf
-
-
 def run_vortex(args) -> int:
-    cfg = _load_config(args.config, args.command) if args.config else {}
-    out = _setting(args.out, cfg, "out", "path", None)
-    fields = _scene_from(args, cfg)
+    get = _Settings(args)
+    out = get("out")
+    fields = _scene_from(get)
     if fields is None:
         raise ConfigError("vortex needs --scene FILE or a config with \"scene\"/\"scene_json\"")
 
-    scatter = _setting(None, cfg, "scatter", "object", None)
+    scatter = get("scatter")
     if scatter is not None:
         if len(fields.get("atoms", ())):
             raise ConfigError("scatter and explicit scene atoms are mutually exclusive")
-        density = _setting(None, scatter, "scatter.density", "number", fields.get("density"))
+        density = get("scatter.density", scatter)
+        if density is None:
+            density = fields.get("density")
         if density is None:
             raise ConfigError("scatter needs a density (in scatter or scene)")
         if not (density > 0 and math.isfinite(density)):
             raise ConfigError(
                 f"setting \"scatter.density\" must be a positive finite number, got {density}")
-        seed = _setting(None, scatter, "scatter.seed", "integer")
-        region = _setting(None, scatter, "scatter.region", "numbers")
+        seed = get("scatter.seed", scatter)
+        region = get("scatter.region", scatter)
         if len(region) != 4:
             raise ConfigError(
                 f"scatter needs \"region\": [x0, y0, x1, y1], got {scatter['region']!r}")
@@ -892,13 +986,9 @@ def run_vortex(args) -> int:
         if not (x1 > x0 and y1 > y0):
             raise ConfigError(f"degenerate scatter region {scatter['region']!r}")
         area = (x1 - x0) * (y1 - y0)
-        need = 16.0 * density * area  # bytes of the (count, 2) float atom array
-        memory = _physical_memory()
-        if not need <= memory:
-            raise ConfigError(
-                f"setting \"scatter.density\" = {density:g} on a region of area {area:g} "
-                f"needs {need:.3g} bytes of atoms, more than the {memory:.3g} bytes "
-                f"of physical memory")
+        # bytes of the (count, 2) float atom array
+        _hold("scatter.density", f"{density:g} on a region of area {area:g}", 16.0 * density * area,
+              "atoms")
         count = int(round(density * area))
         rng = np.random.default_rng(seed)
         fields["atoms"] = rng.uniform((x0, y0), (x1, y1), size=(count, 2))
@@ -909,7 +999,7 @@ def run_vortex(args) -> int:
     report["atoms"] = int(scene.atoms.shape[0])
     if scene.density is not None:
         report["length_scale"] = film_length_scale(scene.density)
-    core = _setting(args.core, cfg, "core", "pair", None)
+    core = get("core")
     if core is not None:
         if not np.all(np.isfinite(core)):
             raise ConfigError(f"setting \"core\" must be finite, got {core.tolist()}")
@@ -923,81 +1013,29 @@ def run_vortex(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
+# the argparse options of a flag of each kind; a choice flag gets its values
+_FLAG_OPTIONS = {"number": {"type": float}, "integer": {"type": int}, "numbers": {"type": _floats},
+                 "pair": {"type": _floats}, "boolean": {"action": "store_true", "default": None}}
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parse_args leaves it unchanged)."""
+    """The argument parser of the rows of _COMMANDS, built once per process
+    (parse_args leaves it unchanged); every flag defaults to None."""
     parser = argparse.ArgumentParser(
         prog="ncplane",
         description="Noncommutative-plane toolkit: spectra, trajectories, phases, "
         "bracket tables, vortex winding counts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # the field flags of spectrum, phase and algebra, with no defaults here:
-    # _magnetic and _setting supply them
-    field = argparse.ArgumentParser(add_help=False)
-    for flag in _FIELD_FLAGS:
-        field.add_argument(f"--{flag.replace('_', '-')}", type=float,
-                           help="field strength" if flag == "B" else None)
-    field.add_argument("--out", help="output file (default: stdout)")
-
-    sp = sub.add_parser("spectrum", parents=[field], help="distance or Landau level spectra")
-    sp.add_argument("--kind", choices=("distance", "landau"), required=True)
-    sp.add_argument("--L", type=float, help="length scale (distance spectrum)")
-    sp.add_argument("--dim", type=int, help="truncation dimension (distance spectrum)")
-    sp.add_argument("--omega-c", type=float,
-                    help="cyclotron frequency (alternative to --B; sets e = c = M = 1)")
-    sp.add_argument("--n-max", type=int, help="highest level index")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.set_defaults(func=run_spectrum)
-
-    ev = sub.add_parser("evolve", help="integrate the doubled-coordinate dynamics")
-    ev.add_argument("--config", help="JSON config file (schema_version 1)")
-    ev.add_argument("--M", type=float, help="mass")
-    ev.add_argument("--R", type=float, help="friction constant (0 allowed)")
-    ev.add_argument("--hbar", type=float)
-    ev.add_argument("--potential", choices=("free", "harmonic", "polynomial"))
-    ev.add_argument("--k", type=float, help="harmonic stiffness")
-    ev.add_argument("--coeffs", type=_floats, help="polynomial coefficients c0,c1,...")
-    ev.add_argument("--x-plus", type=float)
-    ev.add_argument("--x-minus", type=float)
-    ev.add_argument("--v-plus", type=float)
-    ev.add_argument("--v-minus", type=float)
-    ev.add_argument("--dt", type=float)
-    ev.add_argument("--steps", type=int)
-    ev.add_argument(
-        "--canonical",
-        action="store_true",
-        default=None,
-        help="include xi/X/orbit-invariant columns (requires R > 0)",
-    )
-    ev.add_argument("--out", help="trajectory CSV file (default: stdout)")
-    ev.set_defaults(func=run_evolve)
-
-    ph = sub.add_parser("phase", parents=[field],
-                        help="interference phases by area, action, flux, or winding")
-    ph.add_argument("--config", help="JSON config file (schema_version 1)")
-    ph.add_argument("--loop", help="loop vertex CSV")
-    ph.add_argument("--L", type=float, help="length scale for the area route")
-    ph.add_argument("--path1", help="phase-space path CSV (action route)")
-    ph.add_argument("--path2", help="phase-space path CSV (action route)")
-    ph.add_argument("--ab", action="store_true", default=None,
-                    help="flux route: use field parameters")
-    ph.add_argument("--scene", help="vortex scene JSON (winding route)")
-    ph.set_defaults(func=run_phase)
-
-    al = sub.add_parser("algebra", parents=[field], help="pairwise commutator tables")
-    al.add_argument("--kind", choices=("magnetic", "dissipative"), required=True)
-    al.add_argument("--dim", type=int, help="single-factor truncation dimension")
-    al.add_argument("--R", type=float, help="friction constant (dissipative)")
-    al.set_defaults(func=run_algebra)
-
-    vx = sub.add_parser("vortex", help="winding phase and circulation for a vortex scene")
-    vx.add_argument("--config", help="JSON config file (schema_version 1)")
-    vx.add_argument("--scene", help="scene JSON file")
-    vx.add_argument("--core", type=_floats, help="vortex position \"x,y\" for circulation")
-    vx.add_argument("--out")
-    vx.set_defaults(func=run_vortex)
-
+    for command, (help_text, rows) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for flag, _, kind, default, help_text, _ in rows:
+            if flag:
+                sp.add_argument(flag, help=help_text, **(
+                    {"choices": kind, "required": default is _REQUIRED} if isinstance(kind, tuple)
+                    else _FLAG_OPTIONS.get(kind, {})))
+        sp.set_defaults(func=globals()[f"run_{command}"])
     return parser
 
 
@@ -1014,6 +1052,9 @@ def main(argv=None) -> int:
         return EXIT_DIVERGED
     except ValueError as exc:  # ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a size that no check above foresaw
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1109,3 +1109,108 @@ def test_cli_import_leaves_scipy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["evolve", "--M", "1", "--R", "0.1", "--dt", "0.01", "--steps", "100000000000"],
+     "setting \"steps\" = 100000000000 needs 4e+12 bytes of trajectory"),
+    (["spectrum", "--kind", "landau", "--omega-c", "1", "--n-max", "10000000000000"],
+     "setting \"--n-max\" = 10000000000000 needs 8e+13 bytes of levels"),
+    (["spectrum", "--kind", "distance", "--L", "1", "--dim", "1000000000"],
+     "setting \"--dim\" = 1000000000 needs 8e+09 bytes of eigenvalues"),
+    (["algebra", "--kind", "magnetic", "--dim", "200000"],
+     "setting \"--dim\" = 200000 needs 6.4e+11 bytes of ladder matrix"),
+    (["algebra", "--kind", "dissipative", "--dim", "100000", "--R", "1"],
+     "setting \"--dim\" = 100000 needs 1.6e+11 bytes of ladder matrix"),
+], ids=["evolve-steps", "landau-n-max", "distance-dim", "magnetic-dim", "dissipative-dim"])
+def test_input_sized_allocations_are_refused_by_name(capsys, monkeypatch, argv, line):
+    # on a 4 GiB machine each of these would end in a numpy allocation error;
+    # it is refused from the setting alone, before anything of its size exists
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2.0**32)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err == f"error: {line}, more than the 4.29e+09 bytes of physical memory\n"
+    assert elapsed < 1.0
+    assert peak < 4 * 2**20, f"{peak} B traced"
+
+
+def test_a_huge_integer_setting_is_refused_without_overflow(capsys):
+    code, out, err = run_cli(["spectrum", "--kind", "distance", "--L", "1", "--dim", "9" * 400],
+                             capsys)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith(f"error: setting \"--dim\" = {'9' * 400} needs inf bytes of ")
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "error: out of memory"),
+    (MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,)"),
+     "error: Unable to allocate 7.45 GiB for an array with shape (1000000000,)"),
+])
+def test_a_memory_error_is_one_error_line(capsys, monkeypatch, exc, line):
+    def refuse(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "distance_spectrum", refuse)
+    code, out, err = run_cli(["spectrum", "--kind", "distance", "--L", "1", "--dim", "4"], capsys)
+    assert code == 2 and out == ""
+    assert err == line + "\n"
+
+
+def _outcome(argv):
+    """Exit code and parsed stdout of one in-process run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, (json.loads(out.getvalue()) if code == 0 else None)
+
+
+def _scaled_outcome(folder, route, loop, points, L, k):
+    """Exit code and output of route with every length scaled by 2^k (B by 4^-k,
+    the paths route's hbar by 4^k)."""
+    loop, points = np.ldexp(loop, k).tolist(), np.ldexp(points, k).tolist()
+    if route == "distance":
+        return _outcome(["spectrum", "--kind", "distance", "--L", repr(math.ldexp(L, k)),
+                         "--dim", str(len(points)), "--format", "json"])
+    if route == "paths":
+        # two branches from the loop's first vertex to its last, the second straight
+        for name, path in (("p1.csv", loop), ("p2.csv", [loop[0], *points[:1], loop[-1]])):
+            (folder / name).write_text("".join(f"{q!r},{p!r}\n" for q, p in path))
+        cfg = {"path1_csv": str(folder / "p1.csv"), "path2_csv": str(folder / "p2.csv"),
+               "hbar": math.ldexp(L, 2 * k)}
+    else:
+        cfg = {"loop": {"loop": loop, "L": math.ldexp(L, k), "hbar": 0.75},
+               "flux": {"loop": loop, "magnetic": {"B": math.ldexp(L, -2 * k), "e": 1.5}},
+               "scene": {"scene": {"core_loop": loop, "atoms": points, "sigma": -1}}}[route]
+    (folder / "cfg.json").write_text(json.dumps({"schema_version": 1, **cfg}))
+    return _outcome(["phase", "--config", str(folder / "cfg.json")])
+
+
+_coordinate = st.integers(-64, 64).map(lambda n: n / 4)
+
+
+@pytest.mark.parametrize("route", ["loop", "paths", "flux", "scene", "distance"])
+@settings(deadline=None, max_examples=40)
+@given(loop=st.lists(st.tuples(_coordinate, _coordinate), min_size=3, max_size=8),
+       points=st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=12),
+       L=st.integers(1, 64).map(lambda n: n / 8), k=st.integers(-60, 60))
+def test_phase_routes_and_distance_spectrum_are_scale_covariant(tmp_path_factory, route, loop,
+                                                                points, L, k):
+    # the area and action routes scale the loop and L, the paths route q, p and
+    # hbar = L^2, the flux route the loop and 1 / B, the scene route its atoms
+    # and core loop: phases and counts stay bit-identical, and the distance
+    # spectrum L^2 (2n + 1) scales by exactly 4^k
+    folder = tmp_path_factory.mktemp("scaled")
+    code, report = _scaled_outcome(folder, route, loop, points, L, 0)
+    scaled_code, scaled = _scaled_outcome(folder, route, loop, points, L, k)
+    assert scaled_code == code
+    if route == "distance" and code == 0:
+        report["values"] = [math.ldexp(v, 2 * k) for v in report["values"]]
+    assert scaled == report
