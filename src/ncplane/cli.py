@@ -429,18 +429,26 @@ def _scan_path_csv(path: str, skip: int) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def _floats(text: str) -> list[float]:
+    """argparse type of the list flags --coeffs and --core: "c0,c1,..."."""
+    try:
+        return [float(c) for c in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected numbers separated by commas, got {text!r}")
+
+
 _NUMBER_TYPES = {int, float}
 # kind: (what a config value of that kind must be, its exact JSON types or,
-# for a list kind, the kind of its items)
+# for a list kind, the kind of its items, and the argparse options of a flag)
 _KINDS = {
-    "number": ("a number", _NUMBER_TYPES),
-    "integer": ("an integer", {int}),
-    "boolean": ("true or false", {bool}),
-    "path": ("a path string", {str}),
-    "object": ("an object", {dict}),
-    "numbers": ("a list of numbers", "number"),
-    "pair": ("an [x, y] pair of numbers", "number"),
-    "vertices": ("a list of [x, y] pairs of numbers", "pair"),
+    "number": ("a number", _NUMBER_TYPES, {"type": float}),
+    "integer": ("an integer", {int}, {"type": int}),
+    "boolean": ("true or false", {bool}, {"action": "store_true", "default": None}),
+    "path": ("a path string", {str}, {}),
+    "object": ("an object", {dict}, {}),
+    "numbers": ("a list of numbers", "number", {"type": _floats}),
+    "pair": ("an [x, y] pair of numbers", "number", {"type": _floats}),
+    "vertices": ("a list of [x, y] pairs of numbers", "pair", {}),
 }
 _REQUIRED = object()
 
@@ -461,7 +469,7 @@ def _fits(value, kind: str) -> bool:
 
 def _mismatch(value, name: str, kind: str) -> ConfigError:
     """The error for a value not of the kind, naming its first bad list item."""
-    what, spec = _KINDS[kind]
+    what, spec, _ = _KINDS[kind]
     if isinstance(spec, str) and type(value) is list and (kind != "pair" or len(value) == 2):
         for i, item in enumerate(value):
             if not _fits(item, spec):
@@ -625,19 +633,11 @@ class _Settings:
     def only(self, route: str, error: str) -> None:
         """Raise error % the flags given that route does not read, if any;
         later reads take the config paths of route."""
-        ignored = ", ".join(row.flag for name, row in self.rows.items()
-                            if route not in row.routes and getattr(self.args, name, None) is not None)
+        ignored = ", ".join(row.flag for name, row in self.rows.items() if route not in row.routes
+                            and getattr(self.args, name, None) is not None)
         if ignored:
             raise ConfigError(error % ignored)
         self.route = route
-
-
-def _floats(text: str) -> list[float]:
-    """argparse type of the list flags --coeffs and --core: "c0,c1,..."."""
-    try:
-        return [float(c) for c in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numbers separated by commas, got {text!r}")
 
 
 def _input(get: _Settings, name: str, file_key: str, read):
@@ -689,7 +689,7 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def _hold(name: str, value, need, what: str) -> None:
+def _check_memory(name: str, value, need, what: str) -> None:
     """Refuse a setting whose need bytes of what exceed physical memory,
     before anything that size is allocated."""
     memory = _physical_memory()
@@ -708,7 +708,7 @@ def run_spectrum(args) -> int:
         get.only("distance", "spectrum --kind distance does not read %s")
         params = NcParams(L=get("L"), hbar=get("hbar"))
         dim = get("dim")
-        _hold("--dim", dim, 8 * dim, "eigenvalues")
+        _check_memory("--dim", dim, 8 * dim, "eigenvalues")
         values = distance_spectrum(params, dim)
     else:
         get.only("landau", "spectrum --kind landau does not read %s")
@@ -716,11 +716,12 @@ def run_spectrum(args) -> int:
         if omega_c is not None:
             if get("B") is not None:
                 raise ConfigError("give either --omega-c or --B, not both")
-            get.only("omega_c", "--omega-c sets e = c = M = 1 and would ignore %s; give --B instead")
+            get.only("omega_c",
+                     "--omega-c sets e = c = M = 1 and would ignore %s; give --B instead")
         elif get("B") is None:
             raise ConfigError("landau spectrum needs --omega-c or --B")
         n_max = get("n_max")
-        _hold("--n-max", n_max, 8 * (n_max + 1), "levels")
+        _check_memory("--n-max", n_max, 8 * (n_max + 1), "levels")
         # with e = c = M = 1 the field strength equals the cyclotron frequency
         values = landau_spectrum(_magnetic(get, B=omega_c), n_max)
 
@@ -825,7 +826,7 @@ def run_evolve(args) -> int:
     want_canonical = (params.R > 0) if canonical is None else canonical
     out = get("out")
 
-    _hold("steps", steps, 40 * (steps + 1), "trajectory")
+    _check_memory("steps", steps, 40 * (steps + 1), "trajectory")
     with warnings.catch_warnings():
         # the library's RuntimeWarning as one stderr line, without a source location
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
@@ -938,7 +939,7 @@ def run_algebra(args) -> int:
         params = DissipativeParams(M=get("mass"), R=R, hbar=get("hbar"))
         build = kappa_commutator_check
     # the (dim, dim) complex ladder matrix comes first
-    _hold("--dim", dim, 16 * max(dim, 0) ** 2, "ladder matrix")
+    _check_memory("--dim", dim, 16 * max(dim, 0) ** 2, "ladder matrix")
     report = build(params, dim)
     _emit_json(
         {
@@ -987,8 +988,8 @@ def run_vortex(args) -> int:
             raise ConfigError(f"degenerate scatter region {scatter['region']!r}")
         area = (x1 - x0) * (y1 - y0)
         # bytes of the (count, 2) float atom array
-        _hold("scatter.density", f"{density:g} on a region of area {area:g}", 16.0 * density * area,
-              "atoms")
+        _check_memory("scatter.density", f"{density:g} on a region of area {area:g}",
+                      16.0 * density * area, "atoms")
         count = int(round(density * area))
         rng = np.random.default_rng(seed)
         fields["atoms"] = rng.uniform((x0, y0), (x1, y1), size=(count, 2))
@@ -1013,11 +1014,6 @@ def run_vortex(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
-# the argparse options of a flag of each kind; a choice flag gets its values
-_FLAG_OPTIONS = {"number": {"type": float}, "integer": {"type": int}, "numbers": {"type": _floats},
-                 "pair": {"type": _floats}, "boolean": {"action": "store_true", "default": None}}
-
-
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser of the rows of _COMMANDS, built once per process
@@ -1034,7 +1030,7 @@ def build_parser() -> argparse.ArgumentParser:
             if flag:
                 sp.add_argument(flag, help=help_text, **(
                     {"choices": kind, "required": default is _REQUIRED} if isinstance(kind, tuple)
-                    else _FLAG_OPTIONS.get(kind, {})))
+                    else _KINDS[kind][2]))
         sp.set_defaults(func=globals()[f"run_{command}"])
     return parser
 
