@@ -1141,7 +1141,8 @@ def test_input_sized_allocations_are_refused_by_name(capsys, monkeypatch, argv, 
     assert peak < 4 * 2**20, f"{peak} B traced"
 
 
-def test_a_huge_integer_setting_is_refused_without_overflow(capsys):
+def test_a_huge_integer_setting_is_refused_without_overflow(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2.0**32)
     code, out, err = run_cli(["spectrum", "--kind", "distance", "--L", "1", "--dim", "9" * 400],
                              capsys)
     assert code == 2 and out == ""
