@@ -641,9 +641,10 @@ def bohr_frequencies(rhos, dt: float) -> np.ndarray:
     triangles are read, and entry (j, i) adds the power of (i, j) at the
     mirrored bin, P_ji(k) = P_ij(-k).  The entries are gathered in groups,
     sample by sample into one (samples, g) buffer, where g is the number of
-    entries in _GROUP_BLOCKS FFT blocks (256 at 4096 samples).  So beyond
-    the input the call holds that 16 MB buffer (8 x samples complex values
-    when samples exceeds 2^17) and one 2 MB FFT block, whatever d is.
+    entries in _GROUP_BLOCKS FFT blocks (256 at 4096 samples), and centred,
+    windowed and transformed there.  So beyond the input the call holds
+    that 16 MB buffer (8 x samples complex values when samples exceeds
+    2^17) and the 2 MB FFT output of one block, whatever d is.
     Nested-list samples are converted again for each group.  The input is
     not modified.
 
@@ -671,32 +672,22 @@ def bohr_frequencies(rhos, dt: float) -> np.ndarray:
     # groups of whole FFT blocks keep each bin's summation order
     size = min(_GROUP_BLOCKS * cols, upper.size)
     store = np.empty(n * size, dtype=complex)
-    block = np.empty((min(cols, upper.size), n), dtype=complex)
-    squares = np.zeros(2 * n)
+    upper_power = np.zeros(n)
     raw_power = 0.0
     for g in range(0, upper.size, size):
         entries = upper[g : g + size]
-        # a short last group is a narrower array in the same store; numpy
-        # sums the mean of a one-column array in another order, so a lone
-        # entry gets a zero column beside it
-        width = max(entries.size, min(2, size))
-        group = store[: n * width].reshape(n, width)
-        group[:, entries.size :] = 0.0
+        # a short last group is a narrower array in the same store
+        group = store[: n * entries.size].reshape(n, entries.size)
         for k in range(n):
-            _stack_sample(rhos, k, d).take(entries, out=group[k, : entries.size], mode="clip")
+            _stack_sample(rhos, k, d).take(entries, out=group[k], mode="clip")
         # the lower triangle holds as much power as the upper one
         raw_power += 2.0 * float(np.vdot(group, group).real)
-        mean = group.mean(axis=0)
+        group -= group.mean(axis=0)
+        group *= window[:, None]
         for a in range(0, entries.size, cols):
-            b = min(cols, entries.size - a)
-            x = block[:b]
-            np.subtract(group[:, a : a + b].T, mean[a : a + b, None], out=x)
-            x *= window
-            # re^2 and im^2 of each bin side by side, summed over the block's entries
-            spectrum = np.fft.fft(x).view(float)
-            spectrum *= spectrum
-            squares += spectrum.sum(axis=0)
-    upper_power = squares[0::2] + squares[1::2]
+            spectrum = np.fft.fft(group[:, a : a + cols], axis=0)
+            spectrum *= spectrum.conj()
+            upper_power += spectrum.real.sum(axis=1)
     # add the lower entries, P_ji(k) = P_ij(-k); index -k is bin n - k
     power = upper_power + upper_power[-np.arange(n)]
     # fold negative-frequency bins onto positive ones; bin 0 (DC) dropped

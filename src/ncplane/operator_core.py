@@ -61,6 +61,8 @@ class NcParams:
     def __post_init__(self):
         if not (self.L > 0 and math.isfinite(self.L)):
             raise ValueError(f"length scale L must be positive and finite, got {self.L}")
+        if self.L * self.L == 0:
+            raise ValueError(f"length scale L = {self.L} is too small: L^2 underflows to 0")
         if not (self.hbar > 0 and math.isfinite(self.hbar)):
             raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
 
@@ -117,10 +119,11 @@ def distance_spectrum(params: NcParams, dim: int) -> np.ndarray:
     n = 0 .. dim-1: the plane supports only quantized distances from the
     origin.  S^2 is diagonal in the ladder basis, with Zdag Z carrying
     r_n * r_n for the ladder element r_n = sqrt(n), so its eigenvalues are
-    those diagonal entries, sorted; no eigensolver is needed.
+    those diagonal entries, ascending as n is (each step keeps the order);
+    no eigensolver is needed.
     """
     r = np.sqrt(np.arange(require_dim(dim), dtype=float))
-    return np.sort(params.L2 * (2.0 * (r * r) + 1.0))
+    return params.L2 * (2.0 * (r * r) + 1.0)
 
 
 def hermiticity_defect(a: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -848,8 +850,8 @@ def test_vortex_config_core_is_strict(tmp_path, capsys, core, name):
 
 
 @pytest.mark.parametrize("density, region, need", [
-    (1e15, [0, 0, 1, 1], "1.6e+16"),
-    (1e30, [0, 0, 1, 1], "1.6e+31"),
+    (1e15, [0, 0, 1, 1], "4.8e+16"),
+    (1e30, [0, 0, 1, 1], "4.8e+31"),
     (1e300, [0, 0, 1e10, 1e10], "inf"),
 ], ids=["1e15", "1e30", "1e300-on-1e20"])
 def test_vortex_scatter_too_large_names_the_density(tmp_path, capsys, density, region, need):
@@ -877,7 +879,7 @@ def test_vortex_scatter_too_large_names_the_density(tmp_path, capsys, density, r
 
 
 def test_vortex_scatter_is_held_to_physical_memory(tmp_path, capsys, monkeypatch):
-    # 1e5 atoms take 1.6e6 B: refused on a 1e6 B machine, drawn on a 2e6 B one
+    # 1e5 atoms take 4.8e6 B: refused on a 1e6 B machine, drawn on a 5e6 B one
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(
         {**_SCATTER_CFG, "scatter": {"density": 1e5, "seed": 1, "region": [0, 0, 1, 1]}}))
@@ -885,8 +887,8 @@ def test_vortex_scatter_is_held_to_physical_memory(tmp_path, capsys, monkeypatch
     code, _, err = run_cli(["vortex", "--config", str(path)], capsys)
     assert code == 2
     assert err == ("error: setting \"scatter.density\" = 100000 on a region of area 1 needs "
-                   "1.6e+06 bytes of atoms, more than the 1e+06 bytes of physical memory\n")
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 2e6)
+                   "4.8e+06 bytes of atoms, more than the 1e+06 bytes of physical memory\n")
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 5e6)
     code, out, _ = run_cli(["vortex", "--config", str(path)], capsys)
     assert code == 0 and json.loads(out)["atoms"] == 100000
 
@@ -1113,15 +1115,15 @@ def test_cli_import_leaves_scipy_out():
 
 @pytest.mark.parametrize("argv, line", [
     (["evolve", "--M", "1", "--R", "0.1", "--dt", "0.01", "--steps", "100000000000"],
-     "setting \"steps\" = 100000000000 needs 4e+12 bytes of trajectory"),
+     "setting \"steps\" = 100000000000 needs 1.6e+13 bytes of trajectory"),
     (["spectrum", "--kind", "landau", "--omega-c", "1", "--n-max", "10000000000000"],
-     "setting \"--n-max\" = 10000000000000 needs 8e+13 bytes of levels"),
+     "setting \"--n-max\" = 10000000000000 needs 4e+14 bytes of levels"),
     (["spectrum", "--kind", "distance", "--L", "1", "--dim", "1000000000"],
-     "setting \"--dim\" = 1000000000 needs 8e+09 bytes of eigenvalues"),
+     "setting \"--dim\" = 1000000000 needs 4e+10 bytes of eigenvalues"),
     (["algebra", "--kind", "magnetic", "--dim", "200000"],
-     "setting \"--dim\" = 200000 needs 6.4e+11 bytes of ladder matrix"),
+     "setting \"--dim\" = 200000 needs 7.68e+12 bytes of ladder matrix"),
     (["algebra", "--kind", "dissipative", "--dim", "100000", "--R", "1"],
-     "setting \"--dim\" = 100000 needs 1.6e+11 bytes of ladder matrix"),
+     "setting \"--dim\" = 100000 needs 1.92e+12 bytes of ladder matrix"),
 ], ids=["evolve-steps", "landau-n-max", "distance-dim", "magnetic-dim", "dissipative-dim"])
 def test_input_sized_allocations_are_refused_by_name(capsys, monkeypatch, argv, line):
     # on a 4 GiB machine each of these would end in a numpy allocation error;
@@ -1215,3 +1217,120 @@ def test_phase_routes_and_distance_spectrum_are_scale_covariant(tmp_path_factory
     if route == "distance" and code == 0:
         report["values"] = [math.ldexp(v, 2 * k) for v in report["values"]]
     assert scaled == report
+
+
+# one command line per route: "{dir}" stands for a folder holding tri.csv (a
+# loop), p1.csv and p2.csv (two paths) and scene.json; the scene route of
+# phase reads no number
+_ROUTES = {
+    ("spectrum", "distance"): "spectrum --kind distance --L 1 --dim 4",
+    ("spectrum", "landau"): "spectrum --kind landau --B 1 --n-max 3",
+    ("spectrum", "omega_c"): "spectrum --kind landau --omega-c 1 --n-max 3",
+    ("evolve", "free"): "evolve --M 1 --R 0.1 --x-plus 1 --dt 0.01 --steps 20",
+    ("evolve", "harmonic"): "evolve --M 1 --R 0.1 --potential harmonic --k 1 --x-plus 1 "
+                            "--dt 0.01 --steps 20",
+    ("evolve", "polynomial"): "evolve --M 1 --R 0.1 --potential polynomial --coeffs 0,0,0.5 "
+                              "--x-plus 1 --dt 0.01 --steps 20",
+    ("phase", "loop"): "phase --loop {dir}/tri.csv --L 1",
+    ("phase", "flux"): "phase --loop {dir}/tri.csv --ab --B 1",
+    ("phase", "paths"): "phase --path1 {dir}/p1.csv --path2 {dir}/p2.csv",
+    ("algebra", "magnetic"): "algebra --kind magnetic --dim 4",
+    ("algebra", "dissipative"): "algebra --kind dissipative --dim 4 --R 1",
+    ("vortex", "scene"): "vortex --scene {dir}/scene.json --core 0.5,0.5",
+}
+_EXTREMES = ["0", "-1", "5e-324", "1e-320", "1e-200", "1e200", "1e308", "inf", "nan"]
+
+
+def _numeric_flags(command: str, route: str) -> list:
+    """The (flag, kind) of each number, integer or list-of-numbers flag route reads."""
+    return [(row.flag, row.kind) for row in cli._INDEX[command][0].values()
+            if row.flag and route in row.routes and not isinstance(row.kind, tuple)
+            and cli._KINDS[row.kind][2].get("type") in (int, float, cli._floats)]
+
+
+def test_the_route_table_covers_every_route_with_a_numeric_flag():
+    routes = {(command, route) for command, (named, _) in cli._INDEX.items()
+              for row in named.values() for route in row.routes}
+    assert {key for key in routes if _numeric_flags(*key)} == set(_ROUTES)
+
+
+@pytest.mark.parametrize("command, route", list(_ROUTES))
+def test_every_numeric_flag_takes_extreme_values_without_a_traceback(tmp_path, capsys,
+                                                                     command, route):
+    # each number or integer flag the route reads, and each list flag given the
+    # value twice, as --flag=value: an exit code of the CLI, no exception, no
+    # warning let out of main or source location on stderr, and one "error:"
+    # line when it fails
+    (tmp_path / "tri.csv").write_text("0,0\n1,0\n0,1\n")
+    (tmp_path / "p1.csv").write_text("0,0\n1,1\n")
+    (tmp_path / "p2.csv").write_text("0,0\n1,0\n1,1\n")
+    (tmp_path / "scene.json").write_text(json.dumps({"core_loop": _SQUARE, "atoms": [[0.5, 0.5]],
+                                                     "sigma": 1}))
+    base = _ROUTES[command, route].format(dir=tmp_path).split()
+    faults = []
+    for (flag, kind), value in itertools.product(_numeric_flags(command, route), _EXTREMES):
+        text = value if kind in ("number", "integer") else f"{value},{value}"
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            code = main(base + [f"{flag}={text}"])
+        err = capsys.readouterr().err
+        errors = sum("error:" in line for line in err.splitlines())
+        if code not in (0, 2, 3, 4) or escaped or ".py:" in err or errors != (code != 0):
+            faults.append((flag, text, code, err, [str(w.message) for w in escaped]))
+    assert not faults, faults
+
+
+@pytest.mark.parametrize("argv, units", [
+    ("evolve --M 1 --R 0.1 --potential harmonic --k 1 --x-plus 1 --dt 0.001 --steps 80000",
+     80001),
+    ("evolve --M 1 --R 0.1 --x-plus 1 --v-plus 1 --dt 0.001 --steps 80000", 80001),
+    ("evolve --M 1 --R 0.1 --x-plus 1 --x-minus 1 --dt 0.001 --steps 80000", 80001),
+    ("evolve --M 1 --R 0 --potential harmonic --k 1 --x-plus 1 --x-minus 1 --dt 0.001 "
+     "--steps 80000", 80001),
+    ("spectrum --kind distance --L 1 --dim 100000", 100000),
+    ("spectrum --kind distance --L 1 --dim 50000 --format json", 50000),
+    ("spectrum --kind landau --omega-c 1 --n-max 99999", 100000),
+    ("spectrum --kind landau --B 1 --n-max 49999 --format json", 50000),
+    ("algebra --kind magnetic --dim 64", 64**2),
+    ("algebra --kind dissipative --dim 64 --R 1", 64**2),
+    ("vortex --config {dir}/cfg.json", 100000),
+], ids=["evolve-harmonic", "evolve-free", "evolve-diagonal", "evolve-R0", "distance-csv",
+        "distance-json", "landau-csv", "landau-json", "magnetic", "dissipative", "scatter"])
+def test_each_memory_check_counts_its_routes_traced_peak(tmp_path, monkeypatch, argv, units):
+    # the bytes each check asks of physical memory are at least the traced
+    # peak of the call it lets through
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {**_SCATTER_CFG, "scatter": {"density": 1e5, "seed": 1, "region": [0, 0, 1, 1]}}))
+    argv = argv.format(dir=tmp_path).split() + ["--out", str(tmp_path / "out")]
+    asked = []
+    check = cli._check_memory
+    monkeypatch.setattr(cli, "_check_memory", lambda *args: asked.append(args[2]) or check(*args))
+    # tracing RK4's per-step floats takes seconds, so an untraced first call
+    # integrates the trajectory and the traced one copies it
+    saved = []
+    integrate = cli.integrate_array
+    monkeypatch.setattr(cli, "integrate_array", lambda *args: saved.append(integrate(*args))
+                        or saved[0])
+    assert main(argv) == 0
+    monkeypatch.setattr(cli, "integrate_array", lambda *args: saved[0].copy())
+    asked.clear()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    [need] = asked
+    assert need >= peak, f"{need} B asked, {peak} B traced: {peak / units:.1f} B per unit"
+
+
+@pytest.mark.parametrize("argv", [
+    "phase --loop {dir}/tri.csv --L=1e-200",
+    "spectrum --kind distance --dim 4 --L=1e-200",
+], ids=["phase-loop", "distance"])
+def test_a_length_whose_square_underflows_is_refused(tmp_path, capsys, argv):
+    (tmp_path / "tri.csv").write_text("0,0\n1,0\n0,1\n")
+    code, out, err = run_cli(argv.format(dir=tmp_path).split(), capsys)
+    assert code == 2 and out == ""
+    assert err == "error: length scale L = 1e-200 is too small: L^2 underflows to 0\n"

@@ -118,6 +118,9 @@ def test_distance_spectrum_is_sorted_and_scaled():
     values = distance_spectrum(NcParams(L=2.0), 10)
     assert np.all(np.diff(values) > 0)
     np.testing.assert_allclose(values, 4.0 * (2 * np.arange(10) + 1), rtol=1e-10)
+    # unsorted: each step that forms the values keeps their order, at any scale
+    for L in (1e-160, 1e-3, 1e150):
+        assert np.all(np.diff(distance_spectrum(NcParams(L=L), 1000)) > 0)
 
 
 def test_commutator_table_report():
