@@ -626,9 +626,12 @@ class _Settings:
                 raise ConfigError(f"missing required setting: {path}")
         if not _fits(value, row.kind):
             raise _mismatch(value, path, row.kind)
-        if row.kind == "number":
-            return float(value)
-        return np.asarray(value, dtype=float) if type(value) is list else value
+        try:
+            if row.kind == "number":
+                return float(value)
+            return np.asarray(value, dtype=float) if type(value) is list else value
+        except OverflowError:  # a JSON integer past the float range
+            raise ConfigError(f"setting \"{path}\" is beyond the float range") from None
 
     def only(self, route: str, error: str) -> None:
         """Raise error % the flags given that route does not read, if any;

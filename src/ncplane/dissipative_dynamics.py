@@ -635,7 +635,8 @@ def bohr_frequencies(rhos, dt: float) -> np.ndarray:
     difference.  Local maxima above _PEAK_FLOOR times the tallest peak are
     returned as positive angular frequencies, sorted ascending, each
     accurate to one DFT bin (2 pi / (N dt)).  A record with no rotating
-    off-diagonal content returns an empty array.
+    off-diagonal content, or with no strict upper triangle (d < 2), returns
+    an empty array.
 
     The samples are taken to be Hermitian: only their strict upper
     triangles are read, and entry (j, i) adds the power of (i, j) at the
@@ -674,9 +675,9 @@ def bohr_frequencies(rhos, dt: float) -> np.ndarray:
     store = np.empty(n * size, dtype=complex)
     upper_power = np.zeros(n)
     raw_power = 0.0
-    for g in range(0, upper.size, size):
+    for g in range(0, upper.size or 1, size or 1):
         entries = upper[g : g + size]
-        # a short last group is a narrower array in the same store
+        # a short last group, or the one empty group when d < 2, is a narrower array
         group = store[: n * entries.size].reshape(n, entries.size)
         for k in range(n):
             _stack_sample(rhos, k, d).take(entries, out=group[k], mode="clip")
@@ -688,13 +689,10 @@ def bohr_frequencies(rhos, dt: float) -> np.ndarray:
             spectrum = np.fft.fft(group[:, a : a + cols], axis=0)
             spectrum *= spectrum.conj()
             upper_power += spectrum.real.sum(axis=1)
-    # add the lower entries, P_ji(k) = P_ij(-k); index -k is bin n - k
-    power = upper_power + upper_power[-np.arange(n)]
-    # fold negative-frequency bins onto positive ones; bin 0 (DC) dropped
+    # u = upper_power; P_ji(k) = P_ij(-k): bin 0 < k < n/2 is 2 (u[k] + u[n-k]), n/2 is 2 u[n/2]
     half = n // 2
-    m = (n - 1) // 2
-    folded = power[1 : half + 1].copy()
-    folded[:m] += power[: n - m - 1 : -1]
+    folded = upper_power[1 : half + 1] + upper_power[: n - half - 1 : -1]
+    folded[: (n - 1) // 2] *= 2.0
     pmax = float(folded.max())
     if pmax <= 1e-24 * n * max(raw_power, 1.0):
         return np.array([])

@@ -107,7 +107,7 @@ def to_phase_space(loop, params: NcParams) -> np.ndarray:
     arr = as_path(loop, min_vertices=2, name="loop")
     out = arr.copy()
     out[:, 1] *= params.hbar / params.L2
-    return out
+    return as_path(out, name=f"the loop in phase space at L = {params.L}, hbar = {params.hbar}")
 
 
 def loop_action_phase(loop, params: NcParams, split: int | None = None) -> float:

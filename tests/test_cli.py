@@ -1238,7 +1238,7 @@ _ROUTES = {
     ("algebra", "dissipative"): "algebra --kind dissipative --dim 4 --R 1",
     ("vortex", "scene"): "vortex --scene {dir}/scene.json --core 0.5,0.5",
 }
-_EXTREMES = ["0", "-1", "5e-324", "1e-320", "1e-200", "1e200", "1e308", "inf", "nan"]
+_EXTREMES = ["0", "-1", "5e-324", "1e-320", "1e-200", "1e-160", "1e200", "1e308", "inf", "nan"]
 
 
 def _numeric_flags(command: str, route: str) -> list:
@@ -1334,3 +1334,18 @@ def test_a_length_whose_square_underflows_is_refused(tmp_path, capsys, argv):
     code, out, err = run_cli(argv.format(dir=tmp_path).split(), capsys)
     assert code == 2 and out == ""
     assert err == "error: length scale L = 1e-200 is too small: L^2 underflows to 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "phase --loop {dir}/tri.csv --L=1e-160",
+    "phase --loop {dir}/tri.csv --L=1e-160 --hbar=1e-10",
+    "phase --loop {dir}/tall.csv --L=1e-150",
+], ids=["L", "L-hbar", "tall-loop"])
+def test_a_loop_whose_momenta_overflow_names_L(tmp_path, capsys, argv):
+    # L^2 is representable but p = hbar y / L^2 is not
+    (tmp_path / "tri.csv").write_text("0,0\n1,0\n0,1\n")
+    (tmp_path / "tall.csv").write_text("0,0\n1,0\n0,1e10\n")
+    code, out, err = run_cli(argv.format(dir=tmp_path).split(), capsys)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "L = " in line and "path1" not in line

@@ -482,13 +482,14 @@ def bohr_reference(rhos, dt, threshold=0.1):
 
 
 @settings(deadline=None, max_examples=40)
-@given(d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
-def test_bohr_frequencies_match_the_per_entry_periodogram(d, seed):
+@given(d=st.integers(1, 8), n=st.sampled_from([511, 512]), seed=st.integers(0, 2**32 - 1))
+def test_bohr_frequencies_match_the_per_entry_periodogram(d, n, seed):
     # levels on a grid of spacing c >= 8 bins (repeats allowed): distinct
     # gaps sit at least eight bins apart, equal ones coincide, as in
-    # draw_resolved_spectrum of the acceptance suite
+    # draw_resolved_spectrum of the acceptance suite; an odd n has no
+    # Nyquist bin, and d = 1 has no off-diagonal entry
     rng = np.random.default_rng(seed)
-    n, dt = 512, 0.4
+    dt = 0.4
     bin_width = 2.0 * np.pi / (n * dt)
     grid = rng.integers(0, 25, d)
     span = max(int(np.ptp(grid)), 1)
@@ -573,6 +574,12 @@ def test_bohr_frequencies_names_the_sample_of_a_ragged_stack():
         bohr_frequencies([np.zeros((2, 3))] * 64, 0.1)
     with pytest.raises(ValueError, match=r"stack: sample 2: "):
         bohr_frequencies([[[1.0, 0.0], [0.0, 0.0]]] * 2 + [[[1.0, 0.0], [0.0]]] * 62, 0.1)
+    # no strict upper triangle: no peaks, but every sample's shape is still checked
+    assert bohr_frequencies(np.zeros((64, 0, 0)), 0.1).size == 0
+    one_level = [np.ones((1, 1))] * 10 + [np.eye(2) / 2] + [np.ones((1, 1))] * 53
+    sample_10 = r"stack: sample 10 has shape \(2, 2\), sample 0 has \(1, 1\)"
+    with pytest.raises(ValueError, match=sample_10):
+        bohr_frequencies(one_level, 0.1)
 
 
 def test_bohr_frequencies_of_a_list_equal_those_of_the_array():

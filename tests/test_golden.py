@@ -66,6 +66,7 @@ To record goldens again from a reference checkout (all groups by default):
 """
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -75,6 +76,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ncplane import cli
 from ncplane.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -414,6 +416,61 @@ def test_landau_spectrum_matches_golden_bytes(name, tmp_path):
 def test_config_matches_golden_bytes(name, tmp_path):
     want = json.loads(CONFIG_FILE.read_text())[name]
     assert _run_config(CONFIG_CASES[name], tmp_path) == want
+
+
+def _number_settings() -> dict:
+    """The config cases holding each number or list setting, by (command, config path)."""
+    found = {}
+    for name, (command, cfg, _) in sorted(CONFIG_CASES.items()):
+        kinds = {path: row.kind for row in cli._INDEX[command][0].values()
+                 for path in (row.key.values() if isinstance(row.key, dict) else [row.key])}
+        stack = [("", cfg)]
+        while stack:
+            key, node = stack.pop()
+            if isinstance(node, dict):
+                stack += [(f"{key}.{k}" if key else k, v) for k, v in node.items()]
+            elif kinds.get(key) in ("number", "numbers", "pair", "vertices"):
+                found.setdefault((command, key), []).append(name)
+    return found
+
+
+_NUMBER_SETTINGS = _number_settings()
+
+
+@pytest.mark.parametrize("command, path", sorted(_NUMBER_SETTINGS))
+def test_a_config_number_past_the_float_range_is_named(command, path, tmp_path, capsys):
+    # the value, or a list's first number, becomes 10**400: a case that reads
+    # the setting exits 2 with one error line naming it and writes nothing; a
+    # case where a flag or a higher-ranked key shadows it keeps its golden
+    goldens = json.loads(CONFIG_FILE.read_text())
+    refused = 0
+    for name in _NUMBER_SETTINGS[command, path]:
+        _, cfg, extra = CONFIG_CASES[name]
+        cfg = copy.deepcopy(cfg)
+        *parents, leaf = path.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        while type(node[leaf]) is list:
+            node, leaf = node[leaf], 0
+        node[leaf] = 10**400
+        (tmp_path / "out").unlink(missing_ok=True)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"schema_version": 1, **_config_value(cfg, tmp_path)}))
+        argv = [command, "--config", str(config), *_config_value(extra, tmp_path)]
+        if "out" not in cfg and "$out" not in extra:
+            argv += ["--out", str(tmp_path / "out")]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert {"stdout": out, "out": (tmp_path / "out").read_text()} == goldens[name], name
+            continue
+        refused += 1
+        assert code == 2, (name, err)
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and f'"{path}"' in line and ".py:" not in err, name
+        assert out == "" and not (tmp_path / "out").exists(), name
+    assert refused, f"no config case reads {path}"
 
 
 @pytest.mark.parametrize("name", sorted(HELP_CASES))
