@@ -285,9 +285,10 @@ def _emit_csv(header: str, table, out_path: str | None) -> None:
             fh.write(_csv_cells(x, buf[:len(x)]).tobytes().decode("ascii"))
 
 
-def _require_finite(header: str, table) -> None:
-    """Raise ValueError naming the column and row of the first NaN or infinity,
-    in row-major order; the table is read as _emit_csv reads it."""
+def _finite_blocks(header: str, table):
+    """The (first row, rows) blocks of a table, read as _emit_csv reads them,
+    each checked before it is yielded: the first NaN or infinity, in
+    row-major order, raises ValueError naming its column and row."""
     for lo, rows in _row_blocks(table)[1]:
         finite = np.isfinite(rows)
         if not finite.all():
@@ -296,6 +297,7 @@ def _require_finite(header: str, table) -> None:
                 f"output column {header.split(',')[col]} is not finite in row {lo + row}: "
                 f"{float(rows[row, col])}"
             )
+        yield lo, rows
 
 
 def _nonfinite_key(obj, key: str = "") -> str | None:
@@ -735,49 +737,50 @@ def run_spectrum(args) -> int:
         _emit_json({"kind": kind, "values": [float(v) for v in values]}, out)
     else:
         table = np.column_stack((np.arange(len(values)), values))
-        _require_finite("n,value", table)
+        for _ in _finite_blocks("n,value", table):
+            pass
         _emit_csv("n,value", table, out)
     return EXIT_OK
 
 
 # ------------------------------------------------------------------- evolve
 
-def _evolve_summary(traj, params, h, canonical: bool, dt: float) -> dict:
-    """Run summary from the trajectory's columns and H; the canonical
-    summary derives its xi pair here, so that it is freed on return."""
+def _evolve_summary(traj, params, table, canonical: bool, dt: float) -> dict:
+    """Run summary, folded over the table's blocks as the finiteness check
+    yields them: each block raises each field's running maximum.  xi is a
+    block's columns 5-6 and the orbit invariant its last column; the
+    classical residual reads the trajectory one row past each block edge."""
     steps = len(traj) - 1
-    xi = np.column_stack(canonical_coords(traj, params).xi) if canonical else None
-    summary = {
-        "dt": dt,
-        "steps": steps,
-        "gamma_t_total": params.gamma * dt * steps,
-        "max_hamiltonian_drift": float(np.abs(h - h[0]).max()) / max(1.0, abs(float(h[0]))),
-    }
-    if xi is not None:
-        inv = orbit_invariant(xi)
-        inv0 = float(inv[0])
-        summary["max_orbit_invariant_drift"] = (
-            float(np.abs(inv - inv0).max()) / max(1.0, abs(inv0))
-        )
-        if params.potential.kind == "free":
-            closed = hyperbolic_evolve(xi[0], params.gamma, traj[:, 0] - traj[0, 0])
+    t0, xp, xm, vp, vm = traj[0]
+    diagonal = abs(xp - xm) <= 1e-12 and abs(vp - vm) <= 1e-12 and steps >= 2
+    free = canonical and params.potential.kind == "free"
+    h_col = 9 if canonical else 5
+    top = {}  # summary field: the largest of its row values so far
+    for lo, rows in _finite_blocks(EVOLVE_HEADER[canonical], table):
+        if lo == 0:
+            h0, xi0, inv0 = float(rows[0, h_col]), rows[0, 5:7].copy(), float(rows[0, -1])
+        # a division by a positive constant keeps the order, so it commutes with max
+        values = {"max_hamiltonian_drift": np.abs(rows[:, h_col] - h0) / max(1.0, abs(h0))}
+        if canonical:
+            values["max_orbit_invariant_drift"] = np.abs(rows[:, -1] - inv0) / max(1.0, abs(inv0))
+        if free:
+            closed = hyperbolic_evolve(xi0, params.gamma, rows[:, 0] - t0)
             scale = np.maximum(1.0, np.abs(closed).max(axis=1))
-            summary["hyperbolic_max_deviation"] = float(
-                (np.abs(xi - closed).max(axis=1) / scale).max()
-            )
+            values["hyperbolic_max_deviation"] = np.abs(rows[:, 5:7] - closed).max(axis=1) / scale
+        if diagonal:
+            values["max_diagonal_split"] = np.abs(rows[:, 1] - rows[:, 2])
+            near = traj[max(lo - 1, 0):lo + len(rows) + 1]
+            if len(near) >= 3:
+                x = 0.5 * (near[:, 1] + near[:, 2])
+                acc = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / dt**2
+                vel = (x[2:] - x[:-2]) / (2.0 * dt)
+                du = params.potential.derivative(x[1:-1])
+                values["classical_residual"] = np.abs(params.M * acc + params.R * vel + du)
+        for name, value in values.items():  # np.maximum keeps a NaN
+            top[name] = np.maximum(top.get(name, -np.inf), value.max())
 
-    _, xp, xm, vp, vm = traj.T
-    diagonal = abs(xp[0] - xm[0]) <= 1e-12 and abs(vp[0] - vm[0]) <= 1e-12
-    if diagonal and steps >= 2:
-        x = 0.5 * (xp + xm)
-        acc = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / dt**2
-        vel = (x[2:] - x[:-2]) / (2.0 * dt)
-        du = params.potential.derivative(x[1:-1])
-        summary["classical_residual"] = float(
-            np.abs(params.M * acc + params.R * vel + du).max()
-        )
-        summary["max_diagonal_split"] = float(np.abs(xp - xm).max())
-    return summary
+    return {"dt": dt, "steps": steps, "gamma_t_total": params.gamma * dt * steps,
+            **{name: float(value) for name, value in top.items()}}
 
 
 class _EvolveRows:
@@ -785,8 +788,8 @@ class _EvolveRows:
     and orbit-invariant columns from the trajectory and H, which are all that
     is held for the whole run.
 
-    The check and the writer read the same slices in turn; the last slice
-    is kept, so a table of one block is derived once.
+    The check, with the summary, and the writer read the same slices in
+    turn; the last slice is kept, so a table of one block is derived once.
     """
 
     def __init__(self, traj: np.ndarray, h: np.ndarray, params, canonical: bool):
@@ -830,16 +833,13 @@ def run_evolve(args) -> int:
     want_canonical = (params.R > 0) if canonical is None else canonical
     out = get("out")
 
-    # peak bytes per step: up to 136 traced, in the canonical summary of a diagonal free run
-    _check_memory("steps", steps, 160 * (steps + 1), "trajectory")
+    # peak bytes per step: up to 78 traced, in the writer phase of a run with canonical columns
+    _check_memory("steps", steps, 96 * (steps + 1), "trajectory")
     traj = integrate_array(initial, params, dt, steps)
-    header = EVOLVE_HEADER[want_canonical]
-    h = hamiltonian_value(traj, params)
-    table = _EvolveRows(traj, h, params, want_canonical)
-    _require_finite(header, table)
-    # encoded before the CSV is written, so a bad summary writes nothing
-    summary = _json_line(_evolve_summary(traj, params, h, want_canonical, dt))
-    _emit_csv(header, table, out)
+    table = _EvolveRows(traj, hamiltonian_value(traj, params), params, want_canonical)
+    # checked and encoded before the CSV is written, so a failing run writes nothing
+    summary = _json_line(_evolve_summary(traj, params, table, want_canonical, dt))
+    _emit_csv(EVOLVE_HEADER[want_canonical], table, out)
     _emit(summary, None)
     return EXIT_OK
 

@@ -1115,7 +1115,7 @@ def test_cli_import_leaves_scipy_out():
 
 @pytest.mark.parametrize("argv, line", [
     (["evolve", "--M", "1", "--R", "0.1", "--dt", "0.01", "--steps", "100000000000"],
-     "setting \"steps\" = 100000000000 needs 1.6e+13 bytes of trajectory"),
+     "setting \"steps\" = 100000000000 needs 9.6e+12 bytes of trajectory"),
     (["spectrum", "--kind", "landau", "--omega-c", "1", "--n-max", "10000000000000"],
      "setting \"--n-max\" = 10000000000000 needs 4e+14 bytes of levels"),
     (["spectrum", "--kind", "distance", "--L", "1", "--dim", "1000000000"],
