@@ -748,11 +748,12 @@ def run_spectrum(args) -> int:
 def _evolve_summary(traj, params, table, canonical: bool, dt: float) -> dict:
     """Run summary, folded over the table's blocks as the finiteness check
     yields them: each block raises each field's running maximum.  xi is a
-    block's columns 5-6 and the orbit invariant its last column; the
-    classical residual reads the trajectory one row past each block edge."""
+    block's columns 5-6 and the orbit invariant its last column; a diagonal
+    start (x+ = x-, v+ = v-, each to 1e-12 of its pair) adds the classical
+    residual, read from the trajectory one row past each block edge."""
     steps = len(traj) - 1
-    t0, xp, xm, vp, vm = traj[0]
-    diagonal = abs(xp - xm) <= 1e-12 and abs(vp - vm) <= 1e-12 and steps >= 2
+    t0, pairs = traj[0, 0], traj[0, 1:].reshape(2, 2)  # (x+, x-), (v+, v-)
+    diagonal = steps >= 2 and all(abs(a - b) <= 1e-12 * max(abs(a), abs(b)) for a, b in pairs)
     free = canonical and params.potential.kind == "free"
     h_col = 9 if canonical else 5
     top = {}  # summary field: the largest of its row values so far

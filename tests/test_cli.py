@@ -82,6 +82,22 @@ def test_evolve_writes_trajectory_and_summary(tmp_path, capsys):
     assert "hyperbolic_max_deviation" not in summary  # not a free potential
 
 
+@pytest.mark.parametrize("k", [0, 30, 45, 100, 500, 1000, 1060])
+def test_the_diagonal_test_does_not_depend_on_the_start_scale(tmp_path, capsys, k):
+    # a start scaled by 2^-k (exactly): below ~2^-40 an absolute 1e-12 bound
+    # would call the off-diagonal start diagonal; 2^-1060 is subnormal
+    s = math.ldexp(1.0, -k)
+    fields = {"classical_residual", "max_diagonal_split"}
+    for start, diagonal in [((1.0, -0.5, 0.25, 0.0), False), ((1.0, 1.0, 0.25, 0.25), True)]:
+        argv = ["evolve", "--M", "1", "--R", "0.2", "--potential", "harmonic", "--k", "1",
+                "--dt", "0.1", "--steps", "3", "--out", str(tmp_path / "traj.csv")]
+        argv += [f"--{name}={v * s!r}" for name, v in zip(("x-plus", "x-minus", "v-plus",
+                                                           "v-minus"), start)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert (fields & set(json.loads(out))) == (fields if diagonal else set()), (start, k)
+
+
 def test_evolve_free_run_matches_closed_form(tmp_path, capsys):
     out_csv = tmp_path / "free.csv"
     code, out, _ = run_cli(
