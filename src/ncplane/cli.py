@@ -754,7 +754,6 @@ def _evolve_summary(traj, params, table, canonical: bool, dt: float) -> dict:
     steps = len(traj) - 1
     t0, pairs = traj[0, 0], traj[0, 1:].reshape(2, 2)  # (x+, x-), (v+, v-)
     diagonal = steps >= 2 and all(abs(a - b) <= 1e-12 * max(abs(a), abs(b)) for a, b in pairs)
-    free = canonical and params.potential.kind == "free"
     h_col = 9 if canonical else 5
     top = {}  # summary field: the largest of its row values so far
     for lo, rows in _finite_blocks(EVOLVE_HEADER[canonical], table):
@@ -764,7 +763,7 @@ def _evolve_summary(traj, params, table, canonical: bool, dt: float) -> dict:
         values = {"max_hamiltonian_drift": np.abs(rows[:, h_col] - h0) / max(1.0, abs(h0))}
         if canonical:
             values["max_orbit_invariant_drift"] = np.abs(rows[:, -1] - inv0) / max(1.0, abs(inv0))
-        if free:
+        if canonical and params.potential.kind == "free":
             closed = hyperbolic_evolve(xi0, params.gamma, rows[:, 0] - t0)
             scale = np.maximum(1.0, np.abs(closed).max(axis=1))
             values["hyperbolic_max_deviation"] = np.abs(rows[:, 5:7] - closed).max(axis=1) / scale
@@ -901,9 +900,9 @@ def run_phase(args) -> int:
     if get("ab") or mcfg:
         get.only("flux", "phase --loop with --ab or a \"magnetic\" object does not read %s")
         mp = _magnetic(get, mcfg or {})
+        # the length first: its check names the field settings whose hbar c underflows
+        phase_area = interference_phase_area(loop, NcParams(L=magnetic_length(mp), hbar=mp.hbar))
         phase_ab = aharonov_bohm_phase(mp, loop)
-        area_params = NcParams(L=magnetic_length(mp), hbar=mp.hbar)
-        phase_area = interference_phase_area(loop, area_params)
         _emit_json({"phase_ab": phase_ab, "phase_area": phase_area,
                     "difference": phase_ab - phase_area}, out)
         return EXIT_OK

@@ -51,13 +51,22 @@ class MagneticParams:
 
     @property
     def omega_c(self) -> float:
-        """Cyclotron frequency e B / (M c)."""
+        """Cyclotron frequency e B / (M c); M c must not underflow to 0."""
+        if self.M * self.c == 0:
+            raise ValueError(f"the field settings mass = {self.M} and light_speed = {self.c} "
+                             "put M c below the float range")
         return self.e * self.B / (self.M * self.c)
 
     @property
     def L2(self) -> float:
-        """Squared magnetic length hbar c / (e B)."""
-        return self.hbar * self.c / (self.e * self.B)
+        """Squared magnetic length hbar c / (e B); a ValueError names the
+        field settings when it underflows to 0 or is not finite."""
+        eB = self.e * self.B
+        if not (eB > 0 and 0 < self.hbar * self.c / eB < math.inf):
+            raise ValueError(f"the field settings B = {self.B}, charge = {self.e}, light_speed = "
+                             f"{self.c} and hbar = {self.hbar} put the magnetic length^2 "
+                             "hbar c / (e B) outside the float range")
+        return self.hbar * self.c / eB
 
     @property
     def flux_quantum(self) -> float:

@@ -1365,3 +1365,34 @@ def test_a_loop_whose_momenta_overflow_names_L(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     [line] = err.splitlines()
     assert line.startswith("error: ") and "L = " in line and "path1" not in line
+
+
+@pytest.mark.parametrize("argv, named", [
+    ("phase --loop {dir}/tri.csv --ab --B=1 --hbar=1e-200 --light-speed=1e-200", "hbar = 1e-200"),
+    ("phase --loop {dir}/tri.csv --ab --B=5e-324", "B = 5e-324"),
+    ("phase --loop {dir}/tri.csv --ab --B=1e308 --hbar=1e-20", "B = 1e+308"),
+    ("algebra --kind magnetic --dim 4 --B=5e-324", "B = 5e-324"),
+    ("algebra --kind magnetic --dim 4 --hbar=1e-200 --light-speed=1e-200", "hbar = 1e-200"),
+    ("algebra --kind magnetic --dim 4 --B=1e-200 --charge=1e-200", "charge = 1e-200"),
+    ("spectrum --kind landau --n-max 2 --B=1 --mass=1e-200 --light-speed=1e-200",
+     "mass = 1e-200"),
+], ids=["phase-hc-underflows", "phase-B-subnormal", "phase-L2-underflows",
+        "algebra-B-subnormal", "algebra-hc-underflows", "algebra-eB-underflows",
+        "landau-Mc-underflows"])
+def test_field_settings_outside_the_float_range_are_named(tmp_path, capsys, argv, named):
+    # hbar c / (e B), or M c, leaves the float range: the error names the
+    # field settings, not the length L derived from them, and no traceback
+    (tmp_path / "tri.csv").write_text("0,0\n1,0\n0,1\n")
+    code, out, err = run_cli(argv.format(dir=tmp_path).split(), capsys)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: the field settings ") and named in line
+    assert not any(text in line for text in ("L =", "got inf", ".py:"))
+
+
+def test_a_landau_spectrum_does_not_read_the_magnetic_length(capsys):
+    # hbar c / (e B) = 1e318 is past the float range, but the levels are not
+    code, out, err = run_cli(["spectrum", "--kind", "landau", "--B", "1e-308", "--hbar", "1e10",
+                              "--n-max", "2"], capsys)
+    assert code == 0, err
+    assert out.splitlines()[-1] == "2,2.4999999999999997e-298"

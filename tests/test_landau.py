@@ -24,6 +24,24 @@ def test_magnetic_length_frozen_value():
     assert p.L2 == pytest.approx(2.0 * 3.0 / (0.5 * 2.0))
 
 
+@pytest.mark.parametrize("fields", [
+    {"B": 5e-324}, {"B": 1e308, "hbar": 1e-20}, {"B": 1e-200, "e": 1e-200},
+    {"B": 1.0, "hbar": 1e-200, "c": 1e-200},
+])
+def test_a_magnetic_length_outside_the_float_range_names_the_field_settings(fields):
+    # the parameters are valid; the length they define is not a float
+    params = MagneticParams(**fields)
+    with pytest.raises(ValueError, match=r"field settings B = .* outside the float range"):
+        magnetic_length(params)
+    with pytest.raises(ValueError, match="field settings B = "):
+        flux_quantization(params, 2)
+
+
+def test_an_underflowing_mass_times_light_speed_names_them():
+    with pytest.raises(ValueError, match="mass = 1e-200 and light_speed = 1e-200"):
+        landau_spectrum(MagneticParams(B=1.0, M=1e-200, c=1e-200), 2)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         MagneticParams(B=0.0)
