@@ -261,7 +261,7 @@ def integrate_array(
             stacklevel=2,  # the line that called integrate_array
         )
 
-    m = params.M
+    nm = -params.M  # -(a) / m and a / -m are the same double, sign and all
     r = params.R
     du = _force(params.potential)
     t0, xp, xm, vp, vm = (float(v) for v in fields)
@@ -276,21 +276,21 @@ def integrate_array(
         flat = []
         push = flat.extend
         for _ in range(lo, hi):
-            # stage k evaluates (x, x', v, v') -> (v, v', -(R v' + U'(x)) / M, ...)
-            f1 = -(r * vm + du(xp)) / m
-            g1 = -(r * vp + du(xm)) / m
+            # stage k evaluates (x, x', v, v') -> (v, v', (R v' + U'(x)) / -M, ...)
+            f1 = (r * vm + du(xp)) / nm
+            g1 = (r * vp + du(xm)) / nm
             u2 = vp + half * f1
             w2 = vm + half * g1
-            f2 = -(r * w2 + du(xp + half * vp)) / m
-            g2 = -(r * u2 + du(xm + half * vm)) / m
+            f2 = (r * w2 + du(xp + half * vp)) / nm
+            g2 = (r * u2 + du(xm + half * vm)) / nm
             u3 = vp + half * f2
             w3 = vm + half * g2
-            f3 = -(r * w3 + du(xp + half * u2)) / m
-            g3 = -(r * u3 + du(xm + half * w2)) / m
+            f3 = (r * w3 + du(xp + half * u2)) / nm
+            g3 = (r * u3 + du(xm + half * w2)) / nm
             u4 = vp + dt * f3
             w4 = vm + dt * g3
-            f4 = -(r * w4 + du(xp + dt * u3)) / m
-            g4 = -(r * u4 + du(xm + dt * w3)) / m
+            f4 = (r * w4 + du(xp + dt * u3)) / nm
+            g4 = (r * u4 + du(xm + dt * w3)) / nm
             xp, xm, vp, vm = (
                 xp + sixth * (vp + 2.0 * (u2 + u3) + u4),
                 xm + sixth * (vm + 2.0 * (w2 + w3) + w4),
