@@ -95,7 +95,14 @@ def landau_hamiltonian(params: MagneticParams, dim: int) -> np.ndarray:
     by the truncation and should be discarded.
     """
     rho_x, rho_y = build_xy(NcParams(L=magnetic_length(params), hbar=params.hbar), dim)
-    pref = 0.5 * params.M * params.omega_c ** 2
+    try:
+        pref = 0.5 * params.M * params.omega_c ** 2
+    except OverflowError:  # a float ** raises where a product would be inf
+        pref = math.inf
+    if pref == math.inf:
+        raise ValueError(f"the field settings B = {params.B}, charge = {params.e}, light_speed = "
+                         f"{params.c} and mass = {params.M} put (M/2) omega_c^2 beyond the "
+                         "float range")
     return pref * (rho_x @ rho_x + rho_y @ rho_y)
 
 
@@ -149,7 +156,11 @@ def aharonov_bohm_phase(params: MagneticParams, loop) -> float:
     """e Phi / (hbar c) for the flux Phi = B * signed_area(loop).
 
     Identical to the geometric interference phase area / L^2; the loop's
-    orientation carries through as the sign.
+    orientation carries through as the sign.  A ValueError names the field
+    settings when hbar c underflows to 0.
     """
     flux = params.B * signed_area(loop)
+    if params.hbar * params.c == 0:
+        raise ValueError(f"the field settings hbar = {params.hbar} and light_speed = {params.c} "
+                         "put hbar c below the float range")
     return params.e * flux / (params.hbar * params.c)

@@ -42,6 +42,19 @@ def test_an_underflowing_mass_times_light_speed_names_them():
         landau_spectrum(MagneticParams(B=1.0, M=1e-200, c=1e-200), 2)
 
 
+def test_an_underflowing_hbar_times_light_speed_in_the_flux_phase_names_them():
+    loop = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="hbar = 1e-200 and light_speed = 1e-200 put hbar c below"):
+        aharonov_bohm_phase(MagneticParams(B=1.0, hbar=1e-200, c=1e-200), loop)
+
+
+@pytest.mark.parametrize("fields", [{"B": 1e200}, {"B": 1e150, "M": 1e-10}, {"B": 1e155, "M": 10.0}])
+def test_an_overflowing_landau_hamiltonian_prefactor_names_the_field_settings(fields):
+    # omega_c ** 2 raises OverflowError, and (M/2) omega_c^2 can be inf without it
+    with pytest.raises(ValueError, match=r"field settings B = .* and mass = .* beyond the float"):
+        landau_hamiltonian(MagneticParams(**fields), 4)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         MagneticParams(B=0.0)
