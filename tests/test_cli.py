@@ -1396,3 +1396,41 @@ def test_a_landau_spectrum_does_not_read_the_magnetic_length(capsys):
                               "--n-max", "2"], capsys)
     assert code == 0, err
     assert out.splitlines()[-1] == "2,2.4999999999999997e-298"
+
+
+@pytest.mark.parametrize("command, text, named", [
+    ("evolve", json.dumps({**_EVOLVE_CFG, "schema_version": 1}).replace('"dt": 0.01',
+                                                                      '"dt": 1' + "0" * 5000),
+     '"dt"'),
+    ("vortex", json.dumps({"schema_version": 1, "scene": {
+        "core_loop": _SQUARE, "atoms": [[0.5, "ATOM"]], "sigma": 1}}).replace('"ATOM"',
+                                                                              "-1" + "0" * 5000),
+     '"scene.atoms[0][1]"'),
+], ids=["evolve-dt", "vortex-atom"])
+def test_a_config_integer_past_the_digit_limit_names_the_file_and_key(tmp_path, capsys, command,
+                                                                       text, named):
+    # json.loads raises int()'s digit-limit error past 4300 digits, which
+    # named neither the file nor the key
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    code, out, err = run_cli([command, "--config", str(config)], capsys)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line == (f"error: setting {named} in config {config} is an integer of 5001 digits, "
+                    "beyond the float range")
+
+
+@pytest.mark.parametrize("command", ["vortex", "phase"])
+@pytest.mark.parametrize("sigma, shown", [
+    (10**60, "an integer of 61 digits"), (2, "2"), (-(10**19), str(-(10**19))),
+], ids=["61-digits", "2", "20-digits"])
+def test_a_bad_scene_sigma_is_named_by_its_path_with_a_bounded_value(tmp_path, capsys, command,
+                                                                     sigma, shown):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"schema_version": 1, "scene": {
+        "core_loop": _SQUARE, "atoms": [], "sigma": sigma}}))
+    code, out, err = run_cli([command, "--config", str(config)], capsys)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line == f'error: setting "scene.sigma" must be +1 or -1, got {shown}'
+    assert ".py:" not in err
